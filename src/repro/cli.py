@@ -239,7 +239,6 @@ def _cmd_run(args) -> int:
                         batch_size=args.batch_size,
                         queue_depth=args.queue_depth,
                         workers=args.workers, seed=args.seed,
-                        executor=args.executor,
                         duration=args.duration, rate=args.rate,
                         smoke=args.smoke, date=date)
     record = bench.append_history(document, args.history)
@@ -394,13 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--primitive", default="key_write",
                      help="workload primitive (a repro bench primitive)")
     run.add_argument("--workers", type=int, default=2,
-                     help="stage threads / plan worker processes "
-                          "(0 = inline serial fallback)")
-    run.add_argument("--executor", choices=("thread", "process"),
-                     default="thread",
-                     help="parallelism substrate of the streamed lane: "
-                          "in-process stage threads or plan worker "
-                          "processes over shared-memory rings")
+                     help="stage threads (0 = inline serial fallback)")
     run.add_argument("--queue-depth", type=int, default=64,
                      help="credit pool of each inter-stage queue")
     run.add_argument("--batch-size", type=int, default=64,

@@ -143,9 +143,8 @@ class KeyWriteLayout:
         ``packed_data`` must be ``(n, data_bytes)`` uint8 with values
         zero-padded on the right (what ``kernels.crc.pack_keys`` with
         ``pad_to=data_bytes`` produces); length validation is the
-        caller's job.  This is the form the shared-memory plan workers
-        consume — the data column crosses the process boundary as one
-        matrix, no per-value Python objects.
+        caller's job (the translator's vector plan validates once and
+        packs the data column itself).
         """
         import numpy as np
 

@@ -503,6 +503,8 @@ class Translator(Node):
         runtime can run plan and apply in different pipeline stages.
         Returns None when the batch is not vector-eligible.
         """
+        import numpy as np
+
         from repro.kernels import crc as kcrc
 
         layout = self._kw.layout
@@ -512,8 +514,21 @@ class Translator(Node):
         packed, lengths = kcrc.pack_keys(batch.keys)
         packed_data, _ = kcrc.pack_keys(batch.datas,
                                         pad_to=layout.data_bytes)
-        return plan_keywrite_packed(layout, packed, lengths, packed_data,
-                                    batch.redundancy, target.region.length)
+        redundancy = batch.redundancy
+        entries = layout.encode_entries_packed(packed, lengths, packed_data)
+        slot_idx = layout.slot_indices_many(packed, lengths, redundancy)
+        # Key-major flattening preserves arrival order, which the
+        # scatter's last-write-wins dedup relies on.
+        row_indices = slot_idx.T.reshape(-1)
+        rows = np.repeat(entries, redundancy, axis=0)
+        row_bytes = rows.shape[1]
+        if row_bytes == 0:
+            return None
+        slots = target.region.length // row_bytes
+        if len(row_indices) and (int(row_indices.min()) < 0
+                                 or int(row_indices.max()) >= slots):
+            return None      # same bounds check write_rows would fail
+        return row_indices, rows
 
     def account_vector_keywrite(self, reports: int, count: int) -> None:
         """Translator-side counters for an applied Key-Write plan."""
@@ -587,8 +602,17 @@ class Translator(Node):
         except (OverflowError, ValueError):
             return None      # beyond int64: scalar wrap semantics apply
         packed, lengths = kcrc.pack_keys(batch.keys)
-        return plan_keyincrement_packed(layout, packed, lengths, values,
-                                        rows, target.region.length)
+        idx = layout.counter_indices_many(packed, lengths, rows)
+        counter_indices = idx.T.reshape(-1)
+        addends = np.repeat(values, rows)
+        region_length = target.region.length
+        if region_length % 8:
+            return None
+        slots = region_length // 8
+        if len(counter_indices) and (int(counter_indices.min()) < 0
+                                     or int(counter_indices.max()) >= slots):
+            return None      # same bounds check fetch_add_many applies
+        return counter_indices, addends
 
     def account_vector_keyincrement(self, reports: int, count: int) -> None:
         """Translator-side counters for an applied Key-Increment plan."""
@@ -1141,72 +1165,3 @@ class Translator(Node):
             sm.next_transfer = end
             if sm.next_transfer >= sm.layout.width:
                 return
-
-
-# ----------------------------------------------------------------------
-# Pure plan kernels — shared with the shared-memory plan workers
-# ----------------------------------------------------------------------
-#
-# The ``plan_vector_*`` methods above delegate to these module-level
-# functions so the process-lane streaming runtime
-# (:mod:`repro.runtime.shm`) can run the exact same code in worker
-# processes: both sides call one implementation, which is what makes
-# the process lane digest-identical to the serial reference by
-# construction.  They take *packed* columns (what
-# :func:`repro.kernels.crc.pack_keys` produces) because that is the
-# form a batch crosses a shared-memory ring in — no per-report Python
-# objects, just matrices.
-
-
-def plan_keywrite_packed(layout, packed, lengths, packed_data,
-                         redundancy: int, region_length: int):
-    """Pure Key-Write scatter plan: ``(row_indices, rows)`` or None.
-
-    ``layout`` is a :class:`~repro.core.stores.keywrite.KeyWriteLayout`;
-    ``packed``/``lengths`` the packed key matrix; ``packed_data`` the
-    ``(n, data_bytes)`` zero-padded value matrix (lengths already
-    validated by the caller); ``region_length`` the byte length of the
-    RDMA region the plan will be bounds-checked against.  Touches no
-    translator or store state.
-    """
-    import numpy as np
-
-    entries = layout.encode_entries_packed(packed, lengths, packed_data)
-    slot_idx = layout.slot_indices_many(packed, lengths, redundancy)
-    # Key-major flattening preserves arrival order, which the
-    # scatter's last-write-wins dedup relies on.
-    row_indices = slot_idx.T.reshape(-1)
-    rows = np.repeat(entries, redundancy, axis=0)
-    row_bytes = rows.shape[1]
-    if row_bytes == 0:
-        return None
-    slots = region_length // row_bytes
-    if len(row_indices) and (int(row_indices.min()) < 0
-                             or int(row_indices.max()) >= slots):
-        return None      # same bounds check write_rows would fail
-    return row_indices, rows
-
-
-def plan_keyincrement_packed(layout, packed, lengths, values, rows: int,
-                             region_length: int):
-    """Pure Key-Increment scatter-add plan:
-    ``(counter_indices, addends)`` or None.
-
-    ``layout`` is a
-    :class:`~repro.core.stores.keyincrement.KeyIncrementLayout`;
-    ``values`` an int64 array (the caller handles the beyond-int64
-    overflow fallback); ``rows`` already clamped to ``layout.rows``.
-    Touches no translator or store state.
-    """
-    import numpy as np
-
-    idx = layout.counter_indices_many(packed, lengths, rows)
-    counter_indices = idx.T.reshape(-1)
-    addends = np.repeat(values, rows)
-    if region_length % 8:
-        return None
-    slots = region_length // 8
-    if len(counter_indices) and (int(counter_indices.min()) < 0
-                                 or int(counter_indices.max()) >= slots):
-        return None      # same bounds check fetch_add_many applies
-    return counter_indices, addends

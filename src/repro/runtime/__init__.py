@@ -3,14 +3,13 @@
 ``repro.runtime`` turns a direct-mode deployment into a concurrent
 pipeline of the paper's four dataflow stages, coupled by bounded
 credit queues whose blocking hand-off *is* the backpressure protocol
-(lossless-PFC semantics: pressure propagates, nothing drops).  Two
-parallelism substrates share that contract: thread stage groups over
-in-process :class:`CreditQueue` hand-offs, and plan worker *processes*
-over shared-memory rings (:mod:`repro.runtime.shm`).  See
+(lossless-PFC semantics: pressure propagates, nothing drops).  The
+stages run inline (``workers=0``) or as thread stage groups over
+in-process :class:`CreditQueue` hand-offs.  See
 ``docs/CONCURRENCY.md`` for the full determinism-and-concurrency
-contract, ``docs/ARCHITECTURE.md`` ("Streaming runtime",
-"Process-parallel streaming") for the stage diagrams, and
-``docs/BENCHMARKS.md`` for the soak lane recorded by ``repro run``.
+contract, ``docs/ARCHITECTURE.md`` ("Streaming runtime") for the
+stage diagrams, and ``docs/BENCHMARKS.md`` for the soak lane recorded
+by ``repro run``.
 """
 
 from repro.runtime.engine import (
@@ -28,39 +27,22 @@ from repro.runtime.queues import (
     QueueClosed,
     QueueStats,
 )
-from repro.runtime.shm import (
-    KeyIncrementPlanSpec,
-    KeyWritePlanSpec,
-    PlanWorkerPool,
-    RingPeerDead,
-    ShmCreditQueue,
-    ShmMessage,
-)
 from repro.runtime.soak import (
-    PROCESS_CELL_GATE,
     SOAK_SCHEMA,
     THROUGHPUT_GATE,
     render_soak,
     run_lane,
-    run_process_cell,
     run_soak,
 )
 
 __all__ = [
     "CLOSED",
     "CreditQueue",
-    "KeyIncrementPlanSpec",
-    "KeyWritePlanSpec",
-    "PROCESS_CELL_GATE",
-    "PlanWorkerPool",
     "QueueAborted",
     "QueueClosed",
     "QueueStats",
-    "RingPeerDead",
     "SOAK_SCHEMA",
     "STAGES",
-    "ShmCreditQueue",
-    "ShmMessage",
     "StageError",
     "StageStats",
     "StreamEngine",
@@ -68,7 +50,6 @@ __all__ = [
     "pipeline_digest",
     "render_soak",
     "run_lane",
-    "run_process_cell",
     "run_soak",
     "store_digest",
 ]

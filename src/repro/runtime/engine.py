@@ -24,10 +24,10 @@ Determinism contract
 ``docs/CONCURRENCY.md`` is the single source of truth for this
 contract; the short form: the computation — collector store bytes and
 every obs series outside the :func:`pipeline_digest` exclusion list —
-is identical for any ``workers``/``executor``/queue-depth setting,
-because (a) queues are FIFO, so carriers reach each stage in submit
-order; (b) every stats object has exactly one writer stage (reporter
-stats in encode, :class:`~repro.fabric.link.StreamLink` stats in link,
+is identical for any ``workers``/queue-depth setting, because (a)
+queues are FIFO, so carriers reach each stage in submit order; (b)
+every stats object has exactly one writer stage (reporter stats in
+encode, :class:`~repro.fabric.link.StreamLink` stats in link,
 translator stats + loss detector in translate, NIC/QP/client
 bookkeeping — including the order-sensitive ``busy_ns`` float — in
 execute); and (c) the wall-clock-dependent series — every
@@ -62,23 +62,6 @@ equivalent scalar burst and posts it through the real
 :class:`~repro.core.transport.RdmaClient`, which is exactly the PR 3
 fault machinery (bounded retry, QP re-handshake) — a fault plan firing
 mid-stream triggers recovery, never a hang.
-
-Process executor
-----------------
-``executor="process"`` re-platforms the heavy half of translate onto
-worker *processes* (no shared GIL at all): the submit thread runs
-encode + link inline, ships each vector-eligible batch's packed
-columns through a per-worker shared-memory request ring
-(:mod:`repro.runtime.shm`), and a parent *apply* thread consumes the
-plan results — in strict submit order — doing the translator
-accounting and the store apply under :attr:`StreamEngine.store_lock`.
-Everything stateful stays in the parent with one writer per stats
-object, so the lane is digest-identical to ``workers=0`` by
-construction; non-eligible batches simply take the parent's scalar
-translate + execute path on the apply thread.  A worker dying
-mid-stream surfaces as a translate-stage :class:`StageError` (the ring
-waits watch peer liveness), never a hang, and :meth:`close` unlinks
-every shared segment.  The thread lane is untouched.
 """
 
 from __future__ import annotations
@@ -193,19 +176,14 @@ class StreamEngine:
             and restores them in :meth:`close`.
         reporter: The reporter whose emissions feed the stream; its
             ``transmit``/``transmit_batch`` hooks are captured.
-        workers: Stage threads (or plan worker processes) — 0 runs
-            every stage inline in :meth:`submit` (the deterministic
-            serial fallback); 1..4 thread the stage groups as drawn in
-            the module docstring (values above 4 clamp to 4: there are
-            only four stages).
+        workers: Stage threads — 0 runs every stage inline in
+            :meth:`submit` (the deterministic serial fallback); 1..4
+            thread the stage groups as drawn in the module docstring
+            (values above 4 clamp to 4: there are only four stages).
         queue_depth: Credit pool of every inter-stage queue.
         vectorized: Plan/apply the Key-Write / Key-Increment numpy
             split lanes (defaults to the translator's own
             ``vectorized`` flag).  Scalar lanes are unaffected.
-        executor: ``"thread"`` (the PR 5 staged thread groups,
-            unchanged) or ``"process"`` (plan workers as processes over
-            shared-memory rings — see "Process executor" above).
-            Ignored when ``workers=0``.
         retention: Optional
             :class:`~repro.retention.manager.RetentionManager`; its
             ``on_batch`` hook runs in the execute stage under
@@ -214,23 +192,17 @@ class StreamEngine:
             exactly on a batch boundary and snapshots never see a
             half-rotated store.  Rotation points are batch sequence
             numbers, so the retention counters stay digest-identical
-            across worker counts and executors.
+            across worker counts.
         name: Label for the engine's link and metric series.
     """
 
     def __init__(self, collector, translator, reporter, *,
                  workers: int = 2, queue_depth: int = 64,
                  vectorized: bool | None = None,
-                 executor: str = "thread",
                  retention=None,
                  name: str = "stream") -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process' (got {executor!r})")
-        if executor == "process" and workers > 0 and not HAVE_NUMPY:
-            raise RuntimeError("the process executor requires numpy")
         if vectorized is None:
             vectorized = translator.vectorized
         self.collector = collector
@@ -238,7 +210,6 @@ class StreamEngine:
         self.reporter = reporter
         self.workers = min(workers, 4)
         self.queue_depth = queue_depth
-        self.executor = executor
         self.retention = retention
         self.name = name
         self.link = StreamLink(name=name)
@@ -268,10 +239,6 @@ class StreamEngine:
         self._groups: tuple = ()
         self._queues: list = []
         self._threads: list = []
-        self._pool = None
-        self._apply_queue: CreditQueue | None = None
-        self._apply_thread: threading.Thread | None = None
-        self._rr = 0
         self._seq = 0
         self._error: StageError | None = None
         self._error_lock = threading.Lock()
@@ -309,9 +276,7 @@ class StreamEngine:
         # batches take the engine's plan/apply split below.
         translator.vectorized = False
         translator.control_sink = self._sink_control
-        if self.workers > 0 and self.executor == "process":
-            self._start_process_lane()
-        elif self.workers > 0:
+        if self.workers > 0:
             self._groups = _GROUPS[self.workers]
             self._queues = [CreditQueue(self.queue_depth,
                                         name=f"{self.name}.submit")]
@@ -348,8 +313,6 @@ class StreamEngine:
         carrier = _Carrier(seq, batch=batch)
         if self.workers == 0:
             self._run_inline(carrier)
-        elif self.executor == "process":
-            self._submit_process(carrier)
         else:
             try:
                 self._queues[0].put(carrier)
@@ -376,12 +339,6 @@ class StreamEngine:
             if not self._drained:
                 self._drained = True
                 self._finalize_inline()
-        elif self.executor == "process":
-            self._drained = True
-            self._apply_queue.close()
-            self._apply_thread.join()
-            if self._pool is not None:
-                self._pool.finish()
         else:
             self._drained = True
             self._queues[0].close()
@@ -404,14 +361,8 @@ class StreamEngine:
         self._closed = True
         for queue in self._queues:
             queue.abort()
-        if self._pool is not None:
-            self._pool.abort()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._apply_thread is not None:
-            self._apply_thread.join(timeout=5.0)
-        if self._pool is not None:
-            self._pool.shutdown()
         if self._saved is not None:
             self.reporter.transmit = self._saved["transmit"]
             self.reporter.transmit_batch = self._saved["transmit_batch"]
@@ -560,30 +511,14 @@ class StreamEngine:
                     and ki.layout.region_bytes <= target.region.length):
                 self._ki_plan = (target, ki.rkey, ki.layout.base_addr)
 
-    def _plan_kind(self, batch):
-        """The vector plan a batch is eligible for, or None.
-
-        The shared eligibility predicate of the thread lane's
-        :meth:`_vector_translate` and the process lane's dispatch —
-        one decision procedure, so the two executors route every batch
-        the same way.
-        """
+    def _vector_translate(self, batch):
+        """Plan an eligible batch as one array op; None -> scalar lane."""
         if batch.essential or batch.immediate or self.translator.crashed:
             return None
         if len(batch) < MIN_VECTOR_BATCH:
             return None
         primitive = batch.primitive
         if primitive is DtaPrimitive.KEY_WRITE and self._kw_plan is not None:
-            return DtaPrimitive.KEY_WRITE
-        if primitive is DtaPrimitive.KEY_INCREMENT \
-                and self._ki_plan is not None:
-            return DtaPrimitive.KEY_INCREMENT
-        return None
-
-    def _vector_translate(self, batch):
-        """Plan an eligible batch as one array op; None -> scalar lane."""
-        primitive = self._plan_kind(batch)
-        if primitive is DtaPrimitive.KEY_WRITE:
             target, rkey, base, slot_bytes = self._kw_plan
             plan = self.translator.plan_vector_keywrite(batch, target)
             if plan is None:
@@ -593,7 +528,8 @@ class StreamEngine:
                                                     len(row_indices))
             return [("write_rows", rkey, base, slot_bytes,
                      row_indices, rows)]
-        if primitive is DtaPrimitive.KEY_INCREMENT:
+        if primitive is DtaPrimitive.KEY_INCREMENT \
+                and self._ki_plan is not None:
             target, rkey, base = self._ki_plan
             plan = self.translator.plan_vector_keyincrement(batch, target)
             if plan is None:
@@ -640,191 +576,6 @@ class StreamEngine:
                         remote_addr=base + int(idx) * 8,
                         rkey=rkey, swap=int(addend))
             for idx, addend in zip(counter_indices, addends)])
-
-    # ------------------------------------------------------------------
-    # Process lane (executor="process")
-    # ------------------------------------------------------------------
-
-    def _start_process_lane(self) -> None:
-        """Launch the plan worker pool and the parent apply thread.
-
-        The pool exists only when at least one vector plan target
-        resolved — a scalar deployment under ``executor="process"``
-        degenerates to a two-thread submit/apply split with no worker
-        processes, which is still digest-identical (the apply thread
-        runs the reference translate + execute stages).
-        """
-        from repro.runtime import shm as rshm
-
-        kw_spec = ki_spec = None
-        if self._kw_plan is not None:
-            target = self._kw_plan[0]
-            layout = self.translator._kw.layout
-            kw_spec = rshm.KeyWritePlanSpec(
-                layout.base_addr, layout.slots, layout.data_bytes,
-                target.region.length)
-        if self._ki_plan is not None:
-            target = self._ki_plan[0]
-            layout = self.translator._ki.layout
-            ki_spec = rshm.KeyIncrementPlanSpec(
-                layout.base_addr, layout.slots_per_row, layout.rows,
-                target.region.length)
-        if kw_spec is not None or ki_spec is not None:
-            self._pool = rshm.PlanWorkerPool(
-                self.workers, kw_spec=kw_spec, ki_spec=ki_spec,
-                depth=min(self.queue_depth, 16), name=self.name)
-        self._apply_queue = CreditQueue(self.queue_depth,
-                                        name=f"{self.name}.apply")
-        self._queues = [self._apply_queue]
-        self._apply_thread = threading.Thread(
-            target=self._run_apply, name=f"{self.name}-apply", daemon=True)
-        self._apply_thread.start()
-
-    def _submit_process(self, carrier: _Carrier) -> None:
-        """Encode + link inline, then dispatch plans / enqueue tokens.
-
-        Runs the same two front stages the thread lane's first group
-        runs, in the submitting thread (their stats keep a single
-        writer).  Vector-eligible batches go round-robin to the plan
-        workers; everything else becomes a ``local`` token the apply
-        thread pushes through the reference translate + execute path.
-        Token order on the apply queue IS submit order — that is the
-        whole ordering argument.
-        """
-        from repro.runtime.shm import RingPeerDead
-
-        try:
-            items = self._run_stages(("encode", "link"), 0, [carrier])
-        except BaseException as exc:
-            stage = getattr(exc, "_repro_stage", "encode")
-            self._fail(stage, carrier.seq, exc)
-            raise self._error from exc
-        for item in items:
-            token = None
-            batch = item.batch
-            if batch is not None and self._pool is not None:
-                kind = self._plan_kind(batch)
-                if kind is not None:
-                    index = self._rr % self._pool.workers
-                    try:
-                        if kind is DtaPrimitive.KEY_WRITE:
-                            shipped = self._pool.dispatch_keywrite(
-                                index, item.seq, batch)
-                        else:
-                            shipped = self._pool.dispatch_keyincrement(
-                                index, item.seq, batch)
-                    except QueueAborted as aborted:
-                        error = self._error
-                        if error is None:
-                            error = StageError("submit", item.seq, aborted)
-                        raise error from error.__cause__
-                    except RingPeerDead as dead:
-                        self._fail("translate", item.seq, dead)
-                        raise self._error from dead
-                    if shipped:
-                        self._rr += 1
-                        token = ("plan", kind, index, item)
-            if token is None:
-                token = ("local", None, None, item)
-            try:
-                self._apply_queue.put(token)
-            except QueueAborted as aborted:
-                error = self._error
-                if error is None:
-                    error = StageError("submit", item.seq, aborted)
-                raise error from error.__cause__
-
-    def _run_apply(self) -> None:
-        """The parent apply thread: all stateful work, in token order."""
-        seq = FLUSH_SEQ
-        stages = ("translate", "execute")
-        try:
-            while True:
-                token = self._apply_queue.get()
-                if token is CLOSED:
-                    break
-                kind, primitive, index, item = token
-                seq = item.seq
-                if kind == "local":
-                    self._run_stages(stages, 0, [item])
-                    continue
-                message = self._pool.result(index)
-                try:
-                    self._apply_plan(primitive, message, item)
-                finally:
-                    message.release()
-            # Input ended: end-of-stream finalizers, exactly as the
-            # thread lane's translate+execute group runs them.
-            seq = FLUSH_SEQ
-            for offset, name in enumerate(stages):
-                finalize = self._finalizers.get(name)
-                if finalize is None:
-                    continue
-                items = self._run_stages(stages, offset + 1, finalize())
-                assert not items
-        except QueueAborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - must reach caller
-            stage = getattr(exc, "_repro_stage", "translate")
-            self._fail(stage, seq, exc)
-
-    def _apply_plan(self, primitive, message, item: _Carrier) -> None:
-        """Account + apply one worker-planned batch (or its fallback).
-
-        The worker computed only the pure arrays; this thread charges
-        the translator counters (same calls, same order as the thread
-        lane) and applies the burst under :attr:`store_lock`.  The plan
-        arrays are zero-copy views over the worker's result slot —
-        valid until the caller releases the message.
-        """
-        from repro.runtime import shm as rshm
-
-        if message.kind == rshm.RES_ERROR:
-            exc = RuntimeError("plan worker failed: "
-                               + bytes(message.segments[1]).decode(
-                                   "utf-8", errors="replace"))
-            exc._repro_stage = "translate"
-            raise exc
-        if message.kind == rshm.RES_FALLBACK:
-            # Plan-ineligible after all (bounds, odd region): the
-            # reference scalar lane, exactly as the thread lane does.
-            self._run_stages(("translate", "execute"), 0, [item])
-            return
-        try:
-            meta = message.segments[0].view("<i8")
-            if int(meta[0]) != item.seq:
-                raise RuntimeError(
-                    f"result for batch {int(meta[0])} arrived at "
-                    f"batch {item.seq}: ring order violated")
-            batch = item.batch
-            stats = self._stage_stats["translate"]
-            stats.carriers += 1
-            stats.reports += len(item)
-            if message.kind == rshm.RES_KEYWRITE:
-                count, row_bytes = int(meta[2]), int(meta[3])
-                _target, rkey, base, slot_bytes = self._kw_plan
-                row_indices = message.segments[1].view("<i8")
-                rows = message.segments[2].reshape(count, row_bytes)
-                self.translator.account_vector_keywrite(
-                    len(batch.keys), count)
-                op = ("write_rows", rkey, base, slot_bytes,
-                      row_indices, rows)
-            else:
-                count = int(meta[2])
-                _target, rkey, base = self._ki_plan
-                counter_indices = message.segments[1].view("<i8")
-                addends = message.segments[2].view("<i8")
-                self.translator.account_vector_keyincrement(
-                    len(batch.keys), count)
-                op = ("fetch_add", rkey, base, counter_indices, addends)
-        except BaseException as exc:
-            exc._repro_stage = "translate"
-            raise
-        try:
-            self._execute_stage(_Burst(item.seq, [op]))
-        except BaseException as exc:
-            exc._repro_stage = "execute"
-            raise
 
     # ------------------------------------------------------------------
     # Workers
@@ -897,11 +648,9 @@ class StreamEngine:
             items = self._run_stages(STAGES, 0, [carrier])
             assert not items
         except BaseException as exc:
-            stage = getattr(exc, "_repro_stage", "encode")
-            error = StageError(stage, carrier.seq, exc)
-            error.__cause__ = exc
-            self._error = error
-            raise error from exc
+            self._fail(getattr(exc, "_repro_stage", "encode"),
+                       carrier.seq, exc)
+            raise self._error from exc
 
     def _finalize_inline(self) -> None:
         try:
@@ -912,11 +661,9 @@ class StreamEngine:
                 items = self._run_stages(STAGES, offset + 1, finalize())
                 assert not items
         except BaseException as exc:
-            stage = getattr(exc, "_repro_stage", "translate")
-            error = StageError(stage, FLUSH_SEQ, exc)
-            error.__cause__ = exc
-            self._error = error
-            raise error from exc
+            self._fail(getattr(exc, "_repro_stage", "translate"),
+                       FLUSH_SEQ, exc)
+            raise self._error from exc
 
     def _fail(self, stage: str, seq: int, exc: BaseException) -> None:
         with self._error_lock:
@@ -928,8 +675,6 @@ class StreamEngine:
                          stage=stage, batch_seq=seq)
         for queue in self._queues:
             queue.abort()
-        if self._pool is not None:
-            self._pool.abort()
 
     # ------------------------------------------------------------------
     # Control frames
@@ -960,9 +705,6 @@ class StreamEngine:
 
     @property
     def queues(self) -> list:
-        if self._pool is not None:
-            return (list(self._queues) + list(self._pool.requests)
-                    + list(self._pool.results))
         return list(self._queues)
 
     def stage_stats(self, stage: str) -> StageStats:

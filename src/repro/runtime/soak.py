@@ -17,15 +17,10 @@ and the speedup denominator (see ``docs/BENCHMARKS.md``, "Soak lane").
 
 Each run appends one ``repro-soak/2`` record to ``BENCH_HISTORY.jsonl``
 via :func:`repro.bench.append_history`, alongside the ``repro-bench/2``
-records — readers distinguish lanes by the ``schema`` field.  Schema
-``/2`` adds the ``executor`` field (PR 7's ``"thread"``/``"process"``
-lanes); ``/1`` records are thread-lane by definition.
-
-The ``executor="process"`` lane runs the translator's pure plan
-kernels in worker processes over :mod:`repro.runtime.shm` rings (see
-``docs/CONCURRENCY.md``); its tuned cell — ``key_increment`` at batch
-1024 — is the one the ≥10x streamed-vs-serial acceptance gate is
-measured on.
+records — readers distinguish lanes by the ``schema`` field.  Older
+``/2`` records carry one extra config field naming the streamed
+lane's parallelism substrate, from when a process-based lane existed
+beside the thread stage groups (see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
@@ -40,8 +35,6 @@ from repro.runtime.queues import _clock
 SOAK_SCHEMA = "repro-soak/2"
 #: Streamed reports/sec must beat the serial reference by this factor.
 THROUGHPUT_GATE = 1.5
-#: The tuned process-lane cell must beat serial by this factor.
-PROCESS_CELL_GATE = 10.0
 
 
 def _make_batch(primitive: str, work: dict, s: int, e: int) -> ReportBatch:
@@ -65,7 +58,6 @@ def _make_batch(primitive: str, work: dict, s: int, e: int) -> ReportBatch:
 def run_lane(primitive: str, work: dict, *, workers: int,
              queue_depth: int = 64, vectorized: bool = True,
              batch_size: int = 64, sketch_width: int = 0,
-             executor: str = "thread",
              duration: float | None = None,
              rate: float | None = None) -> dict:
     """One soak lane on a fresh deployment; returns its measurements.
@@ -79,8 +71,7 @@ def run_lane(primitive: str, work: dict, *, workers: int,
         vectorized=False, sketch_width=sketch_width)
     engine = StreamEngine(collector, translator, reporter,
                           workers=workers, queue_depth=queue_depth,
-                          vectorized=vectorized, executor=executor,
-                          name="soak")
+                          vectorized=vectorized, name="soak")
     submitted = 0
     try:
         start = _clock()
@@ -119,7 +110,6 @@ def run_lane(primitive: str, work: dict, *, workers: int,
     high_watermarks = {q.name: q.high_watermark for q in engine.queues}
     return {
         "workers": workers,
-        "executor": executor,
         "vectorized": bool(vectorized),
         "submitted": submitted,
         "elapsed_s": round(elapsed, 6),
@@ -135,7 +125,7 @@ def run_lane(primitive: str, work: dict, *, workers: int,
 
 def run_soak(*, primitive: str = "key_write", reports: int = 120_000,
              batch_size: int = 64, queue_depth: int = 64,
-             workers: int = 2, seed: int = 1, executor: str = "thread",
+             workers: int = 2, seed: int = 1,
              duration: float | None = None, rate: float | None = None,
              smoke: bool = False, date: str = "unknown") -> dict:
     """Streamed soak + serial reference replay; returns the document.
@@ -146,17 +136,13 @@ def run_soak(*, primitive: str = "key_write", reports: int = 120_000,
     prefix-stable across different generation sizes (the RNG is drained
     per column), so the prefix is taken by truncating the one generated
     workload, never by regenerating it smaller.
-
-    ``executor`` selects the streamed lane's parallelism substrate
-    (``"thread"`` or ``"process"``); the serial reference replay always
-    runs inline (``workers=0``), whatever the streamed lane used.
     """
     work = bench._workload(primitive, reports, seed)
     sketch_width = reports if primitive == "sketch_merge" else 0
     streamed = run_lane(primitive, work, workers=max(workers, 1),
                         queue_depth=queue_depth, vectorized=True,
                         batch_size=batch_size, sketch_width=sketch_width,
-                        executor=executor, duration=duration, rate=rate)
+                        duration=duration, rate=rate)
     prefix = {key: column[:streamed["submitted"]]
               for key, column in work.items()}
     serial = run_lane(primitive, prefix, workers=0, vectorized=False,
@@ -185,7 +171,7 @@ def run_soak(*, primitive: str = "key_write", reports: int = 120_000,
         "date": date,
         "config": {"primitive": primitive, "reports": reports,
                    "batch_size": batch_size, "queue_depth": queue_depth,
-                   "workers": workers, "seed": seed, "executor": executor,
+                   "workers": workers, "seed": seed,
                    "duration_s": duration, "rate": rate, "smoke": smoke,
                    "throughput_gate": THROUGHPUT_GATE},
         "streamed": streamed,
@@ -196,34 +182,6 @@ def run_soak(*, primitive: str = "key_write", reports: int = 120_000,
     }
 
 
-def run_process_cell(*, reports: int = 120_000, seed: int = 1,
-                     duration: float | None = None, smoke: bool = False,
-                     date: str = "unknown") -> dict:
-    """The tuned ``executor="process"`` soak cell (ROADMAP item 3).
-
-    ``key_increment`` at batch 1024, two plan workers: the
-    configuration where vectorization amortizes the per-batch ring
-    hand-off best on this machine, and the one the ≥10x
-    streamed-vs-serial acceptance gate (:data:`PROCESS_CELL_GATE`) is
-    measured on.  Returns a normal ``repro-soak/2`` document with the
-    extra gate appended (skipped in smoke mode, like the base
-    throughput gate).
-    """
-    document = run_soak(primitive="key_increment", reports=reports,
-                        batch_size=1024, queue_depth=64, workers=2,
-                        seed=seed, executor="process", duration=duration,
-                        smoke=smoke, date=date)
-    if not smoke:
-        speedup = document["speedup"]
-        document["gates"].append(
-            {"gate": "tuned process-cell speedup", "value": speedup,
-             "threshold": PROCESS_CELL_GATE,
-             "pass": (speedup is not None
-                      and speedup >= PROCESS_CELL_GATE)})
-        document["pass"] = all(gate["pass"] for gate in document["gates"])
-    return document
-
-
 def render_soak(document: dict) -> str:
     """Human-readable summary of a SOAK document."""
     streamed = document["streamed"]
@@ -232,7 +190,7 @@ def render_soak(document: dict) -> str:
     lines = [
         f"soak: {config['primitive']} x{streamed['submitted']} "
         f"(batch {config['batch_size']}, depth {config['queue_depth']}, "
-        f"seed {config['seed']}, executor {config.get('executor', 'thread')})",
+        f"seed {config['seed']})",
         f"  streamed  workers={streamed['workers']} "
         f"{streamed['reports_per_sec'] or 0:>12,.0f} rps  "
         f"({streamed['elapsed_s']:.3f}s)",

@@ -15,9 +15,9 @@ The process topology mirrors Figure 2 of the paper:
 
 The parent (``repro.transport.serve``) owns the segments: it creates
 them from :func:`segment_plan`, hands the names to both daemon kinds
-(which attach and untrack, like the shm ring workers in
-:mod:`repro.runtime.shm`), and unlinks them on teardown — so a crashed
-daemon can never leak a segment past the lane's context manager.
+(which attach and untrack, see :func:`_untrack`), and unlinks them on
+teardown — so a crashed daemon can never leak a segment past the
+lane's context manager.
 
 Store sizing mirrors ``bench._deploy`` so socket-lane throughput cells
 are comparable with the in-process benchmark history.
@@ -25,6 +25,7 @@ are comparable with the in-process benchmark history.
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
 
 from repro import calibration, obs
@@ -37,7 +38,6 @@ from repro.core.stores.postcarding import PostcardingLayout
 from repro.core.stores.sketchstore import SketchLayout
 from repro.core.translator import Translator
 from repro.runtime.engine import store_digest
-from repro.runtime.shm import _untrack
 from repro.transport import mmsg
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import (
@@ -148,12 +148,43 @@ def provision_collector(name: str, *, sketch_width: int = 0,
     return collector
 
 
+def _untrack(shm) -> None:
+    """Detach an *attached* segment from this process's resource tracker.
+
+    Attaching registers the name with :mod:`multiprocessing`'s resource
+    tracker exactly as creating does (bpo-39959), so without this the
+    tracker would complain about — and try to unlink — segments the
+    creating process already owns and unlinks itself.  Under the
+    ``fork`` start method the child *shares* the parent's tracker, so
+    its duplicate registration collapses into the parent's and
+    unregistering here would strip the owner's entry instead — skip.
+    """
+    try:
+        # allow_none would report None in a process that never resolved
+        # a start method, and the platform default there IS fork — which
+        # must take the skip branch below, not fall through to unregister.
+        if multiprocessing.get_start_method() == "fork":
+            return
+        from multiprocessing import resource_tracker
+
+        # The tracker knows the segment by the name the platform layer
+        # registered: on POSIX that is the shm_open() name, which
+        # carries a leading "/" that the public ``name`` property
+        # strips.  Reconstruct it instead of reaching into ``_name``.
+        name = shm.name
+        if not name.startswith("/"):
+            name = "/" + name
+        resource_tracker.unregister(name, "shared_memory")
+    except Exception:
+        pass
+
+
 def _attach_segments(names, plan):
     """Map the parent's segments; returns ``(shms, buffers)``.
 
-    Like the shm ring workers, attaching must not register the segment
-    with this process's resource tracker as if it owned it — the parent
-    is the owner and unlinks on teardown (see :func:`_untrack`).
+    Attaching must not register the segment with this process's
+    resource tracker as if it owned it — the parent is the owner and
+    unlinks on teardown (see :func:`_untrack`).
     """
     from multiprocessing import shared_memory
 

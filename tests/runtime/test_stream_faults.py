@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import struct
 
+import pytest
+
 from repro import bench, obs
 from repro.core.batch import ReportBatch
 from repro.faults import recover_stream
-from repro.runtime import StreamEngine
+from repro.runtime import StageError, StreamEngine
 from repro.runtime.soak import _make_batch
 
 BATCH = 16
@@ -147,3 +149,29 @@ def test_recover_stream_is_a_noop_on_a_clean_run():
     hits, translator, reporter, engine = _essential_run()
     assert recover_stream(engine, [reporter]) == 0
     assert hits > 0
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_failing_batch_records_one_stage_error_event(workers):
+    """Inline and threaded lanes share one error path: a batch the
+    translator rejects (here Key-Write with its service unset) raises
+    the same :class:`StageError` and leaves exactly one
+    ``runtime/stage_error`` trace event either way."""
+    work = bench._workload("key_write", BATCH, SEED)
+    registry, previous, collector, translator, reporter = _deployment()
+    translator._kw = None
+    engine = StreamEngine(collector, translator, reporter, workers=workers,
+                          vectorized=False)
+    try:
+        engine.start()
+        with pytest.raises(StageError) as raised:
+            engine.submit(_make_batch("key_write", work, 0, BATCH))
+            engine.drain()
+    finally:
+        engine.close()
+        obs.set_registry(previous)
+    assert raised.value.stage == "translate"
+    assert raised.value.batch_seq == 0
+    events = [event for event in registry.events
+              if (event.component, event.event) == ("runtime", "stage_error")]
+    assert len(events) == 1

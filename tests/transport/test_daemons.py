@@ -105,6 +105,79 @@ class TestReleaseSegments:
         _release_segments(shms2, buffers2)
 
 
+class _FakeSegment:
+    def __init__(self, name):
+        self.name = name
+
+
+class TestUntrack:
+    """``_untrack`` must speak the tracker's name dialect (bpo-39959)."""
+
+    def test_unregisters_platform_name_under_spawn(self, monkeypatch):
+        from multiprocessing import resource_tracker
+
+        from repro.transport import daemons
+
+        calls = []
+        monkeypatch.setattr(daemons.multiprocessing, "get_start_method",
+                            lambda allow_none=True: "spawn")
+        monkeypatch.setattr(resource_tracker, "unregister",
+                            lambda name, rtype: calls.append((name, rtype)))
+        daemons._untrack(_FakeSegment("psm_fake"))
+        # The public ``name`` property strips the shm_open() slash; the
+        # tracker knows the slashed form, so _untrack must restore it.
+        assert calls == [("/psm_fake", "shared_memory")]
+
+    def test_slashed_name_is_not_double_prefixed(self, monkeypatch):
+        from multiprocessing import resource_tracker
+
+        from repro.transport import daemons
+
+        calls = []
+        monkeypatch.setattr(daemons.multiprocessing, "get_start_method",
+                            lambda allow_none=True: "spawn")
+        monkeypatch.setattr(resource_tracker, "unregister",
+                            lambda name, rtype: calls.append((name, rtype)))
+        daemons._untrack(_FakeSegment("/psm_fake"))
+        assert calls == [("/psm_fake", "shared_memory")]
+
+    def test_fork_child_never_strips_owner_registration(self, monkeypatch):
+        from multiprocessing import resource_tracker
+
+        from repro.transport import daemons
+
+        calls = []
+        monkeypatch.setattr(daemons.multiprocessing, "get_start_method",
+                            lambda allow_none=True: "fork")
+        monkeypatch.setattr(resource_tracker, "unregister",
+                            lambda name, rtype: calls.append((name, rtype)))
+        # Under fork the child shares the owner's tracker: unregistering
+        # the duplicate would strip the owner's entry, so it must no-op.
+        daemons._untrack(_FakeSegment("psm_fake"))
+        assert calls == []
+
+    def test_unresolved_start_method_resolves_to_platform_default(
+            self, monkeypatch):
+        from multiprocessing import resource_tracker
+
+        from repro.transport import daemons
+
+        calls = []
+
+        def get_start_method(allow_none=False):
+            # A process that never touched multiprocessing contexts has
+            # no resolved method; only resolving (allow_none=False)
+            # reveals the platform default, which on POSIX is fork.
+            return None if allow_none else "fork"
+
+        monkeypatch.setattr(daemons.multiprocessing, "get_start_method",
+                            get_start_method)
+        monkeypatch.setattr(resource_tracker, "unregister",
+                            lambda name, rtype: calls.append((name, rtype)))
+        daemons._untrack(_FakeSegment("psm_fake"))
+        assert calls == []
+
+
 class TestCollectorDaemonMain:
     def test_command_loop(self, fresh_registry, segments):
         parent_conn, child_conn = multiprocessing.Pipe()

@@ -6,17 +6,19 @@ per-lane results); this tool renders the trajectory per lane so a perf
 regression shows up as a dip against history rather than a single
 number with no context.
 
-``repro serve``/``repro deploy`` documents (schema ``repro-serve/*``)
-land in the same history file; their socket-lane throughput shows up
-as the synthetic ``repro-serve`` lane in every mode.  ``repro retain``
-documents (schema ``repro-retain/*``) likewise surface as the
-synthetic ``repro-retain`` lane (rotation-smoke ingest throughput).
+The other harnesses append to the same history file, and each shows
+up as one synthetic lane in every mode, named after its schema:
+``repro-serve`` (``repro serve``/``repro deploy`` socket-lane
+throughput), ``repro-soak`` (``repro run`` streamed-lane throughput)
+and ``repro-retain`` (``repro retain`` rotation-smoke ingest
+throughput).
 
 Usage::
 
     python tools/bench_trend.py                      # all lanes
     python tools/bench_trend.py --lane key_increment
     python tools/bench_trend.py --lane repro-serve   # deployment lane
+    python tools/bench_trend.py --lane repro-soak    # streaming soak lane
     python tools/bench_trend.py --lane repro-retain  # retention lane
     python tools/bench_trend.py --mode vectorized --last 10
 """
@@ -27,11 +29,13 @@ import argparse
 import json
 import sys
 
-#: Synthetic lane name for deployment-lane (``repro serve``) records.
-SERVE_LANE = "repro-serve"
-
-#: Synthetic lane name for retention-smoke (``repro retain``) records.
-RETAIN_LANE = "repro-retain"
+#: Synthetic lane (= schema prefix) -> the record section holding its
+#: ``reports_per_sec``.
+SYNTHETIC_LANES = {
+    "repro-serve": "socket",
+    "repro-soak": "streamed",
+    "repro-retain": "retain",
+}
 
 
 def load_history(path: str) -> list[dict]:
@@ -53,22 +57,17 @@ def load_history(path: str) -> list[dict]:
     return records
 
 
-def _is_serve(record: dict) -> bool:
-    return str(record.get("schema", "")).startswith("repro-serve")
-
-
-def _is_retain(record: dict) -> bool:
-    return str(record.get("schema", "")).startswith("repro-retain")
+def _schema_lane(record: dict) -> str | None:
+    """The synthetic lane a non-bench record belongs to, if any."""
+    lane = str(record.get("schema", "")).split("/", 1)[0]
+    return lane if lane in SYNTHETIC_LANES else None
 
 
 def _cell_rps(record: dict, lane: str, mode: str):
-    if lane == SERVE_LANE:
-        if _is_serve(record):
-            return record.get("socket", {}).get("reports_per_sec")
-        return None
-    if lane == RETAIN_LANE:
-        if _is_retain(record):
-            return record.get("retain", {}).get("reports_per_sec")
+    if lane in SYNTHETIC_LANES:
+        if _schema_lane(record) == lane:
+            return record.get(SYNTHETIC_LANES[lane], {}).get(
+                "reports_per_sec")
         return None
     cell = record.get("results", {}).get(lane, {}).get(mode)
     return cell.get("reports_per_sec") if cell else None
@@ -80,10 +79,8 @@ def render_trend(records: list[dict], *, lane: str | None = None,
         records = records[-last:]
     lanes = sorted({name for record in records
                     for name in record.get("results", {})})
-    if any(_is_serve(record) for record in records):
-        lanes.append(SERVE_LANE)
-    if any(_is_retain(record) for record in records):
-        lanes.append(RETAIN_LANE)
+    present = {_schema_lane(record) for record in records}
+    lanes += [name for name in SYNTHETIC_LANES if name in present]
     if lane:
         if lane not in lanes:
             return (f"lane '{lane}' not in history "
