@@ -2,10 +2,10 @@
 """The query serving tier: plans over snapshots of a live stream.
 
 The scenario: a dashboard keeps six panels fresh while the collector
-ingests a mixed workload at full tilt.  Each refresh takes ONE
-batch-boundary snapshot of every store and evaluates all registered
-plans against it — the panels are mutually coherent, the ingest never
-pauses, and no panel can ever see half of a report batch.
+ingests a mixed workload.  Each refresh takes ONE batch-boundary
+snapshot of every store and evaluates all registered plans against it
+— the panels are mutually coherent, and no panel can ever see half of
+a report batch.
 
 Shows, in order:
 1. composing query plans with the operator algebra;
@@ -56,7 +56,7 @@ def main() -> None:
     print(f"streaming {REPORTS} reports x 5 primitives, "
           f"serving {EPOCHS} epochs live:")
     _registry, collector, engine, zero_loss = stream_mixed(
-        works, workers=2, epochs=EPOCHS, on_epoch=on_epoch)
+        works, epochs=EPOCHS, on_epoch=on_epoch)
     print(f"drained; zero_loss={zero_loss}\n")
 
     # -- 3. snapshot isolation: frozen views share nothing ------------

@@ -236,9 +236,7 @@ def _cmd_run(args) -> int:
     reports = min(args.reports, 8000) if args.smoke else args.reports
     date = datetime.date.today().strftime("%Y%m%d")
     document = run_soak(primitive=args.primitive, reports=reports,
-                        batch_size=args.batch_size,
-                        queue_depth=args.queue_depth,
-                        workers=args.workers, seed=args.seed,
+                        batch_size=args.batch_size, seed=args.seed,
                         duration=args.duration, rate=args.rate,
                         smoke=args.smoke, date=date)
     record = bench.append_history(document, args.history)
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(fn=_cmd_bench)
 
     run = sub.add_parser(
-        "run", help="streaming-runtime soak (streamed vs serial gates)")
+        "run", help="streaming-runtime soak (vectorized vs scalar gates)")
     run.add_argument("--duration", type=float, default=None, metavar="S",
                      help="wall-clock cap for the streamed lane (seconds; "
                           "default: run the whole workload)")
@@ -392,10 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "under --duration)")
     run.add_argument("--primitive", default="key_write",
                      help="workload primitive (a repro bench primitive)")
-    run.add_argument("--workers", type=int, default=2,
-                     help="stage threads (0 = inline serial fallback)")
-    run.add_argument("--queue-depth", type=int, default=64,
-                     help="credit pool of each inter-stage queue")
     run.add_argument("--batch-size", type=int, default=64,
                      help="reports per submitted ReportBatch")
     run.add_argument("--seed", type=int, default=1,

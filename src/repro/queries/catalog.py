@@ -81,9 +81,12 @@ def shipped_plans(works: dict) -> dict:
     }
 
 
-def stream_mixed(works: dict, *, workers: int, batch_size: int = 32,
-                 queue_depth: int = 64, on_epoch=None, epochs: int = 1):
+def stream_mixed(works: dict, *, vectorized: bool = True,
+                 batch_size: int = 32, on_epoch=None, epochs: int = 1):
     """Drive the mixed workload through one streaming deployment.
+
+    ``vectorized`` picks the engine's lane: the numpy plan/apply split
+    (the default) or the scalar reference it must match.
 
     Returns ``(registry, collector, engine, zero_loss)`` with the
     engine drained and closed and the previous obs registry restored —
@@ -96,8 +99,7 @@ def stream_mixed(works: dict, *, workers: int, batch_size: int = 32,
     registry, previous, collector, translator, reporter = bench._deploy(
         vectorized=False, sketch_width=n)
     engine = StreamEngine(collector, translator, reporter,
-                          workers=workers, queue_depth=queue_depth,
-                          vectorized=True, name="query-feed")
+                          vectorized=vectorized, name="query-feed")
     try:
         engine.start()
         slice_len = max(batch_size, (n + epochs - 1) // epochs)

@@ -9,10 +9,10 @@ Three modes over one seeded mixed-primitive deployment:
   the stream is still ingesting — each tick snapshots the stores at a
   batch boundary, so the printed results are torn-free mid-stream
   reads (the long-running query daemon, compressed into N epochs).
-* **--smoke**: the CI differential gate — run the streamed lane and
-  the ``workers=0`` serial reference on the same workload and exit
-  non-zero unless every catalog plan returns identical rows, the store
-  digests match, and no report was lost.
+* **--smoke**: the CI differential gate — run the vectorized lane and
+  the scalar reference lane on the same workload and exit non-zero
+  unless every catalog plan returns identical rows, the store digests
+  match, and no report was lost.
 
 ``--cost-out`` writes the per-query cost-accounting artifact
 (``repro-query-costs/1``) that CI uploads next to the soak artifact.
@@ -74,10 +74,10 @@ def run_query_command(args) -> int:
 
     # One-shot: stream, drain, evaluate the catalog once.
     _registry, collector, _engine, zero_loss = catalog.stream_mixed(
-        works, workers=args.workers, batch_size=args.batch_size)
+        works, batch_size=args.batch_size)
     results, cost = catalog.run_catalog(collector, works)
     print(f"query: {reports} reports x {len(catalog.MIXED)} primitives, "
-          f"workers={args.workers}, seed={args.seed}, "
+          f"seed={args.seed}, "
           f"zero_loss={zero_loss}")
     for name in sorted(results):
         print(_summarize(name, results[name]))
@@ -111,8 +111,8 @@ def _run_serve(args, works) -> int:
               f"{sizes}")
 
     _registry, _collector, _engine, zero_loss = catalog.stream_mixed(
-        works, workers=args.workers, batch_size=args.batch_size,
-        epochs=epochs, on_epoch=on_epoch)
+        works, batch_size=args.batch_size, epochs=epochs,
+        on_epoch=on_epoch)
     server = servers[0]
     print(f"served {server.epoch} epochs over a live stream "
           f"(zero_loss={zero_loss})")
@@ -125,15 +125,15 @@ def _run_serve(args, works) -> int:
 
 
 def _run_smoke(args, works) -> int:
-    """CI gate: streamed catalog == serial catalog, digests equal."""
+    """CI gate: vectorized catalog == scalar catalog, digests equal."""
     _sreg, s_collector, _seng, s_zero = catalog.stream_mixed(
-        works, workers=max(args.workers, 1), batch_size=args.batch_size)
+        works, vectorized=True, batch_size=args.batch_size)
     streamed_results, streamed_cost = catalog.run_catalog(
         s_collector, works)
     streamed_digest = catalog.lane_digest(s_collector)
 
     _rreg, r_collector, _reng, r_zero = catalog.stream_mixed(
-        works, workers=0, batch_size=args.batch_size)
+        works, vectorized=False, batch_size=args.batch_size)
     serial_results, _serial_cost = catalog.run_catalog(
         r_collector, works)
     serial_digest = catalog.lane_digest(r_collector)
@@ -168,17 +168,15 @@ def add_query_parser(sub) -> None:
                        help="reports per primitive in the mixed stream")
     query.add_argument("--batch-size", type=int, default=32,
                        help="reports per submitted ReportBatch")
-    query.add_argument("--workers", type=int, default=2,
-                       help="stage threads of the ingest stream")
     query.add_argument("--seed", type=int, default=1,
                        help="workload RNG seed")
     query.add_argument("--serve", type=int, default=0, metavar="EPOCHS",
                        help="re-evaluate the catalog each of EPOCHS "
                             "ingest epochs, live (the query daemon)")
     query.add_argument("--smoke", action="store_true",
-                       help="CI gate: streamed catalog results + store "
-                            "digest must equal the workers=0 serial "
-                            "reference")
+                       help="CI gate: vectorized catalog results + "
+                            "store digest must equal the scalar "
+                            "reference lane")
     query.add_argument("--list", action="store_true",
                        help="print the shipped catalog and exit")
     query.add_argument("--cost-out", default=None, metavar="PATH",

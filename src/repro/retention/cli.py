@@ -29,7 +29,6 @@ def _cmd_retain(args) -> int:
                           reports_per_epoch=reports_per_epoch,
                           batch_size=args.batch_size,
                           window=args.window, seed=args.seed,
-                          workers=args.workers,
                           ckpt_dir=args.ckpt_dir)
     # Compact date, matching the bench/serve records in the history.
     document["date"] = datetime.date.today().strftime("%Y%m%d")
@@ -61,8 +60,6 @@ def add_retain_parser(sub) -> None:
                         help="retention window in sealed epochs")
     retain.add_argument("--seed", type=int, default=11,
                         help="workload seed")
-    retain.add_argument("--workers", type=int, default=0,
-                        help="engine stage threads (default 0: inline)")
     retain.add_argument("--ckpt-dir", default=None,
                         help="keep the end-of-run checkpoint here")
     retain.add_argument("--out", default=None, metavar="FILE",

@@ -47,7 +47,7 @@ def _serve(slots: int, lists: int, capacity: int) -> Collector:
 
 def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
                batch_size: int = 32, window: int = 1, seed: int = 11,
-               workers: int = 0, ckpt_dir: str | None = None) -> dict:
+               ckpt_dir: str | None = None) -> dict:
     """Run the retention smoke; returns the ``repro-retain/1`` document.
 
     Args:
@@ -57,7 +57,6 @@ def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
         batch_size: Reports per submitted batch.
         window: Retention window in sealed epochs.
         seed: Workload seed (keys/values/list routing).
-        workers: Engine stage threads (0 = inline deterministic lane).
         ckpt_dir: Where to write the end-of-run checkpoint; a
             ``<ckpt_dir>-restored`` digest check runs either way (a
             temp directory is used when unset).
@@ -79,8 +78,7 @@ def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
     manager = RetentionManager(collector, policy=policy,
                                translator=translator)
     engine = StreamEngine(collector, translator, reporter,
-                          workers=workers, retention=manager,
-                          name="retain")
+                          retention=manager, name="retain")
 
     total_reports = 0
     started = time.perf_counter()
@@ -160,8 +158,8 @@ def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
         "config": {"epochs": epochs,
                    "reports_per_epoch": reports_per_epoch,
                    "batch_size": batch_size, "window": window,
-                   "seed": seed, "workers": workers,
-                   "slots": slots, "lists": lists, "capacity": capacity},
+                   "seed": seed, "slots": slots, "lists": lists,
+                   "capacity": capacity},
         "retain": {
             "reports_per_sec": total_reports / elapsed,
             "reports": total_reports,

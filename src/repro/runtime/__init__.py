@@ -1,15 +1,11 @@
-"""The staged streaming runtime (reporter -> link -> translator -> NIC).
+"""The streaming runtime (reporter -> link -> translator -> NIC).
 
-``repro.runtime`` turns a direct-mode deployment into a concurrent
-pipeline of the paper's four dataflow stages, coupled by bounded
-credit queues whose blocking hand-off *is* the backpressure protocol
-(lossless-PFC semantics: pressure propagates, nothing drops).  The
-stages run inline (``workers=0``) or as thread stage groups over
-in-process :class:`CreditQueue` hand-offs.  See
-``docs/CONCURRENCY.md`` for the full determinism-and-concurrency
-contract, ``docs/ARCHITECTURE.md`` ("Streaming runtime") for the
-stage diagrams, and ``docs/BENCHMARKS.md`` for the soak lane recorded
-by ``repro run``.
+``repro.runtime`` runs a direct-mode deployment as the paper's four
+dataflow stages, inline in :meth:`StreamEngine.submit`, with reader
+threads snapshotting the live stores under ``store_lock``.  See
+``docs/CONCURRENCY.md`` for the determinism-and-concurrency contract,
+``docs/ARCHITECTURE.md`` ("Streaming runtime") for the stage diagram,
+and ``docs/BENCHMARKS.md`` for the soak lane recorded by ``repro run``.
 """
 
 from repro.runtime.engine import (
@@ -20,13 +16,6 @@ from repro.runtime.engine import (
     pipeline_digest,
     store_digest,
 )
-from repro.runtime.queues import (
-    CLOSED,
-    CreditQueue,
-    QueueAborted,
-    QueueClosed,
-    QueueStats,
-)
 from repro.runtime.soak import (
     SOAK_SCHEMA,
     THROUGHPUT_GATE,
@@ -36,11 +25,6 @@ from repro.runtime.soak import (
 )
 
 __all__ = [
-    "CLOSED",
-    "CreditQueue",
-    "QueueAborted",
-    "QueueClosed",
-    "QueueStats",
     "SOAK_SCHEMA",
     "STAGES",
     "StageError",

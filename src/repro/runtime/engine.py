@@ -1,64 +1,48 @@
-"""The staged streaming execution engine.
+"""The streaming execution engine.
 
 DTA's pipeline — reporters encode, the wire carries, the translator
-converts, the collector NIC executes — is a dataflow of independent
-stages, and the paper's whole argument is that it sustains line rate
-because no stage ever waits on the one after it (Section 4, Fig. 6).
-This module gives the reproduction that execution mode: the four
-stages run concurrently over :class:`~repro.core.batch.ReportBatch`
-carriers, coupled by bounded :class:`~repro.runtime.queues.CreditQueue`
-credit queues whose blocking puts *are* the backpressure protocol.
+converts, the collector NIC executes — is a dataflow of four stages
+(Section 4, Fig. 6).  :class:`StreamEngine` runs a direct-mode
+deployment as that dataflow over
+:class:`~repro.core.batch.ReportBatch` carriers, one batch at a time,
+inline in :meth:`StreamEngine.submit`::
 
-Stage graph (``workers`` controls how many threads serve it)::
+    submit(batch) -> encode -> link -> translate -> execute
 
-    submit() --[submit]--> encode --> link --[wire]--> translate --[verbs]--> execute
-                 |                                             |
-                 |   workers=0  every stage inline in submit() |
-                 |   workers=1  [encode link translate execute]|
-                 |   workers=2  [encode link] [translate execute]
-                 |   workers=3  [encode link] [translate] [execute]
-                 |   workers>=4 [encode] [link] [translate] [execute]
+The switch ASIC pipelines these stages in hardware.  In Python the
+inline vectorized lane is the fastest layout measured (see
+``docs/CONCURRENCY.md``), so the engine has exactly one execution
+path; reader threads are the only concurrency.
 
 Determinism contract
 --------------------
 ``docs/CONCURRENCY.md`` is the single source of truth for this
 contract; the short form: the computation — collector store bytes and
 every obs series outside the :func:`pipeline_digest` exclusion list —
-is identical for any ``workers``/queue-depth setting, because (a)
-queues are FIFO, so carriers reach each stage in submit order; (b)
-every stats object has exactly one writer stage (reporter stats in
-encode, :class:`~repro.fabric.link.StreamLink` stats in link,
-translator stats + loss detector in translate, NIC/QP/client
-bookkeeping — including the order-sensitive ``busy_ns`` float — in
-execute); and (c) the wall-clock-dependent series — every
-``runtime.*`` queue/stall/worker series plus the serving tier's
-``queries.wall_ns`` histogram — are excluded from digest comparisons
-by :func:`pipeline_digest`.  ``workers=0`` composes the same stage
-functions synchronously inside :meth:`StreamEngine.submit`, making it
-bit-identical to the threaded runs — and, on every shared series, to
-today's plain serial ``send_batch`` loop.
+is identical with vectorization on or off, and, on every shared
+series, identical to the plain serial ``send_batch`` loop.  Each
+stats object has exactly one writer stage (reporter stats in encode,
+:class:`~repro.fabric.link.StreamLink` stats in link, translator stats
++ loss detector in translate, NIC/QP/client bookkeeping in execute),
+and the wall-clock-dependent series — ``runtime.*`` plus the serving
+tier's ``queries.wall_ns`` histogram — are excluded by
+:func:`pipeline_digest`.
 
 The contract extends to readers: the execute stage is the *only* store
 writer, and it applies each burst under :attr:`StreamEngine.store_lock`.
 :meth:`StreamEngine.snapshot` takes the same lock, so every snapshot
-lands exactly on a batch boundary — a reader can never observe a
-partially applied burst, no matter how many reader threads run against
-a live stream.  The serving tier's ``queries.wall_ns`` histogram is
-wall-clock-dependent for the same reason the ``runtime.*`` series are,
-and :func:`pipeline_digest` excludes it alongside them.
+lands exactly on a batch boundary — a reader thread can never observe
+a partially applied burst of a live stream.
 
-Vectorized overlap
-------------------
-Pure-Python stages share the GIL, so threading alone buys nothing; the
-speedup comes from the numpy kernels (:mod:`repro.kernels`), which
-release the GIL.  The translate stage runs the translator's *plan*
-halves (:meth:`~repro.core.translator.Translator.plan_vector_keywrite`
-/ ``plan_vector_keyincrement``) and the execute stage applies them
-(:func:`repro.kernels.burst.write_rows` / ``fetch_add_many``), so the
-two heavy array passes of consecutive batches overlap.  The execute
-stage re-resolves the burst target before applying; if the target has
-gone bad mid-stream (NIC stall, QP error, revoked MR) it rebuilds the
-equivalent scalar burst and posts it through the real
+Vector plan/apply split
+-----------------------
+Eligible Key-Write / Key-Increment batches are planned by the
+translator (:meth:`~repro.core.translator.Translator.plan_vector_keywrite`
+/ ``plan_vector_keyincrement``) in the translate stage and applied by
+:func:`repro.kernels.burst.write_rows` / ``fetch_add_many`` in the
+execute stage.  The execute stage re-resolves the burst target before
+applying; if the target has gone bad (NIC stall, QP error, revoked MR)
+it rebuilds the equivalent scalar burst and posts it through the real
 :class:`~repro.core.transport.RdmaClient`, which is exactly the PR 3
 fault machinery (bounded retry, QP re-handshake) — a fault plan firing
 mid-stream triggers recovery, never a hang.
@@ -68,25 +52,14 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from typing import NoReturn
 
 from repro import obs
 from repro.core.packets import DtaPrimitive
 from repro.fabric.link import StreamLink
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
-from repro.runtime.queues import CLOSED, CreditQueue, QueueAborted
+from repro.kernels import MIN_VECTOR_BATCH
 
 STAGES = ("encode", "link", "translate", "execute")
-
-#: Thread layout per worker count (>= 4 is fully staged).
-_GROUPS = {
-    1: (("encode", "link", "translate", "execute"),),
-    2: (("encode", "link"), ("translate", "execute")),
-    3: (("encode", "link"), ("translate",), ("execute",)),
-    4: (("encode",), ("link",), ("translate",), ("execute",)),
-}
-
-#: Queue feeding each group boundary, named after what flows through it.
-_BOUNDARY_NAMES = {"encode": "encoded", "link": "wire", "translate": "verbs"}
 
 #: Sequence number used for end-of-stream finalizer work (epoch
 #: flushes), which belongs to no submitted batch.
@@ -115,32 +88,6 @@ class StageStats(obs.InstrumentedStats):
     reports = obs.counter_field()
 
 
-class _Carrier:
-    """One submit's worth of in-flight reports between stages."""
-
-    __slots__ = ("seq", "batch", "raws")
-
-    def __init__(self, seq, batch=None, raws=None):
-        self.seq = seq
-        self.batch = batch
-        self.raws = raws
-
-    def __len__(self) -> int:
-        if self.batch is not None:
-            return len(self.batch)
-        return len(self.raws or ())
-
-
-class _Burst:
-    """Ordered RDMA emission of one carrier, bound for execute."""
-
-    __slots__ = ("seq", "ops")
-
-    def __init__(self, seq, ops):
-        self.seq = seq
-        self.ops = ops
-
-
 class _DeferringClient:
     """Stands in for the RDMA client inside the translate stage.
 
@@ -167,7 +114,7 @@ class _DeferringClient:
 
 
 class StreamEngine:
-    """Run a direct-mode deployment as a concurrent staged pipeline.
+    """Run a direct-mode deployment as the inline staged pipeline.
 
     Args:
         collector: The deployment's collector (store digests, wiring).
@@ -176,11 +123,9 @@ class StreamEngine:
             and restores them in :meth:`close`.
         reporter: The reporter whose emissions feed the stream; its
             ``transmit``/``transmit_batch`` hooks are captured.
-        workers: Stage threads — 0 runs every stage inline in
-            :meth:`submit` (the deterministic serial fallback); 1..4
-            thread the stage groups as drawn in the module docstring
-            (values above 4 clamp to 4: there are only four stages).
-        queue_depth: Credit pool of every inter-stage queue.
+        workers: Must be 0: every stage runs inline in :meth:`submit`.
+            Accepted because existing callers (``dtabench``) pass
+            ``workers=0``; any other value raises :class:`ValueError`.
         vectorized: Plan/apply the Key-Write / Key-Increment numpy
             split lanes (defaults to the translator's own
             ``vectorized`` flag).  Scalar lanes are unaffected.
@@ -190,30 +135,28 @@ class StreamEngine:
             :attr:`store_lock` *before* the first burst of each
             ``rotate_every``-th batch applies, so epoch rotation lands
             exactly on a batch boundary and snapshots never see a
-            half-rotated store.  Rotation points are batch sequence
-            numbers, so the retention counters stay digest-identical
-            across worker counts.
+            half-rotated store.
         name: Label for the engine's link and metric series.
     """
 
     def __init__(self, collector, translator, reporter, *,
-                 workers: int = 2, queue_depth: int = 64,
+                 workers: int = 0,
                  vectorized: bool | None = None,
                  retention=None,
                  name: str = "stream") -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        if workers != 0:
+            raise ValueError(
+                f"StreamEngine runs inline only: workers must be 0 "
+                f"(got {workers})")
         if vectorized is None:
             vectorized = translator.vectorized
         self.collector = collector
         self.translator = translator
         self.reporter = reporter
-        self.workers = min(workers, 4)
-        self.queue_depth = queue_depth
         self.retention = retention
         self.name = name
         self.link = StreamLink(name=name)
-        self._vectorized = bool(vectorized) and HAVE_NUMPY
+        self._vectorized = bool(vectorized)
         self._defer = _DeferringClient()
         self._real_client = None
         self._kw_plan = None
@@ -227,21 +170,12 @@ class StreamEngine:
         self._stage_stats = {
             stage: StageStats(labels={"stage": stage, "engine": name})
             for stage in STAGES}
-        self._stage_fns = {"encode": self._encode_stage,
-                           "link": self._link_stage,
-                           "translate": self._translate_stage,
-                           "execute": self._execute_stage}
-        self._finalizers = {"translate": self._translate_finalize}
         #: Serializes store mutation (execute stage) against snapshot
         #: acquisition; see "Determinism contract" above.
         self.store_lock = threading.Lock()
         self._executed_seq: int | None = None
-        self._groups: tuple = ()
-        self._queues: list = []
-        self._threads: list = []
         self._seq = 0
         self._error: StageError | None = None
-        self._error_lock = threading.Lock()
         self._saved: dict | None = None
         self._started = False
         self._drained = False
@@ -252,7 +186,7 @@ class StreamEngine:
     # ------------------------------------------------------------------
 
     def start(self) -> "StreamEngine":
-        """Rewire the deployment and launch the stage threads."""
+        """Rewire the deployment so its emissions feed the stream."""
         if self._started:
             return self
         if self._closed:
@@ -276,31 +210,15 @@ class StreamEngine:
         # batches take the engine's plan/apply split below.
         translator.vectorized = False
         translator.control_sink = self._sink_control
-        if self.workers > 0:
-            self._groups = _GROUPS[self.workers]
-            self._queues = [CreditQueue(self.queue_depth,
-                                        name=f"{self.name}.submit")]
-            for group in self._groups[:-1]:
-                boundary = _BOUNDARY_NAMES[group[-1]]
-                self._queues.append(CreditQueue(
-                    self.queue_depth, name=f"{self.name}.{boundary}"))
-            for index, group in enumerate(self._groups):
-                thread = threading.Thread(
-                    target=self._run_group, args=(index,),
-                    name=f"{self.name}-{'+'.join(group)}", daemon=True)
-                self._threads.append(thread)
-                thread.start()
         self._started = True
         return self
 
     def submit(self, batch) -> int:
-        """Feed one :class:`ReportBatch` into the stream.
+        """Run one :class:`ReportBatch` through every stage.
 
-        Blocks when the submit queue is out of credits (backpressure
-        reaching the caller).  Returns the batch's sequence number —
-        the identity a :class:`StageError` names if this batch later
-        fails.  Raises the pending :class:`StageError` as soon as any
-        stage has died.
+        Returns the batch's sequence number — the identity a
+        :class:`StageError` names if this batch fails.  Raises the
+        pending :class:`StageError` if an earlier batch failed.
         """
         if not self._started:
             raise RuntimeError("engine not started")
@@ -310,46 +228,49 @@ class StreamEngine:
             raise self._error
         seq = self._seq
         self._seq += 1
-        carrier = _Carrier(seq, batch=batch)
-        if self.workers == 0:
-            self._run_inline(carrier)
-        else:
-            try:
-                self._queues[0].put(carrier)
-            except QueueAborted as aborted:
-                error = self._error
-                if error is None:
-                    error = StageError("submit", seq, aborted)
-                raise error from error.__cause__
+        stage = "encode"
+        try:
+            carriers = self._encode(batch)
+            stage = "link"
+            carriers = [carrier for carrier in carriers
+                        if self._link(carrier)]
+            stage = "translate"
+            bursts = [ops for ops in map(self._translate, carriers) if ops]
+            stage = "execute"
+            for ops in bursts:
+                self._execute(seq, ops)
+        except BaseException as exc:
+            self._fail(stage, seq, exc)
         return seq
 
     def drain(self) -> None:
-        """End the stream: flush, wait for every stage, surface errors.
+        """End the stream: flush, then deliver pending control frames.
 
-        Closes the submit queue, joins the stage threads (each group
-        runs its finalizers — the translator's end-of-epoch Append
-        flush — before closing its output), then delivers any pending
-        control frames to the deployment's original ``control_sink``.
-        Raises the first :class:`StageError` if a stage died; the
-        pipeline is fully unwound either way.  Idempotent.
+        Runs the translator's end-of-epoch Append flush through the
+        execute stage, then hands any pending control frames to the
+        deployment's original ``control_sink``.  Raises the pending
+        :class:`StageError` — before any flush touches the store — if
+        a batch failed.  Idempotent.
         """
         if not self._started:
             raise RuntimeError("engine not started")
-        if self.workers == 0:
-            if not self._drained:
-                self._drained = True
-                self._finalize_inline()
-        else:
-            self._drained = True
-            self._queues[0].close()
-            for thread in self._threads:
-                thread.join()
         if self._error is not None:
             raise self._error
+        if not self._drained:
+            self._drained = True
+            stage = "translate"
+            try:
+                self.translator.flush_appends()
+                ops = self._defer.take()
+                if ops:
+                    stage = "execute"
+                    self._execute(FLUSH_SEQ, ops)
+            except BaseException as exc:
+                self._fail(stage, FLUSH_SEQ, exc)
         self._deliver_controls()
 
     def close(self) -> None:
-        """Restore the deployment's wiring; abort any leftover stream.
+        """Restore the deployment's wiring.
 
         After close the collector/translator/reporter triple works
         exactly as before :meth:`start` — in particular the PR 3
@@ -359,10 +280,6 @@ class StreamEngine:
         if self._closed:
             return
         self._closed = True
-        for queue in self._queues:
-            queue.abort()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
         if self._saved is not None:
             self.reporter.transmit = self._saved["transmit"]
             self.reporter.transmit_batch = self._saved["transmit_batch"]
@@ -381,69 +298,64 @@ class StreamEngine:
     def error(self) -> StageError | None:
         return self._error
 
+    def _fail(self, stage: str, seq: int, exc: BaseException) -> NoReturn:
+        """Record the stream's one :class:`StageError` and raise it."""
+        self._error = StageError(stage, seq, exc)
+        obs.emit("runtime", "stage_error", engine=self.name,
+                 stage=stage, batch_seq=seq)
+        raise self._error from exc
+
     # ------------------------------------------------------------------
-    # Stage functions (each stats object has exactly one writer stage)
+    # Stages (each stats object has exactly one writer stage)
     # ------------------------------------------------------------------
 
-    def _encode_stage(self, carrier: _Carrier) -> list:
-        """Reporter emission: congestion check, seq/backup assignment."""
-        sent = self.reporter.send_batch(carrier.batch)
-        out = []
-        if self._captured_batches:
-            batches, self._captured_batches[:] = \
-                list(self._captured_batches), []
-            for batch in batches:
-                out.append(_Carrier(carrier.seq, batch=batch))
+    def _encode(self, batch) -> list:
+        """Reporter emission: congestion check, seq/backup assignment.
+
+        Returns the carriers the reporter emitted: each captured
+        :class:`ReportBatch`, then one list of any per-report frames.
+        """
+        sent = self.reporter.send_batch(batch)
+        carriers = self._captured_batches[:]
+        self._captured_batches.clear()
         if self._captured_raws:
-            raws, self._captured_raws[:] = list(self._captured_raws), []
-            out.append(_Carrier(carrier.seq, raws=raws))
+            carriers.append(self._captured_raws[:])
+            self._captured_raws.clear()
         stats = self._stage_stats["encode"]
-        stats.carriers += len(out)
+        stats.carriers += len(carriers)
         stats.reports += sent
-        return out
+        return carriers
 
-    def _link_stage(self, carrier: _Carrier):
+    def _link(self, carrier) -> bool:
         """Wire accounting (and the fault-window drop point)."""
-        if carrier.batch is not None:
-            size = carrier.batch.wire_bytes()
+        if isinstance(carrier, list):
+            size = sum(len(raw) + 42 for raw in carrier)
         else:
-            size = sum(len(raw) + 42 for raw in carrier.raws)
+            size = carrier.wire_bytes()
         n = len(carrier)
         stats = self._stage_stats["link"]
         stats.carriers += 1
         stats.reports += n
-        if not self.link.transmit(n, size):
-            return None
-        return carrier
+        return self.link.transmit(n, size)
 
-    def _translate_stage(self, carrier: _Carrier):
-        """Report -> verb conversion; RDMA emission is deferred."""
+    def _translate(self, carrier) -> list:
+        """Report -> verb conversion; returns the deferred RDMA ops."""
         translator = self.translator
-        if carrier.batch is not None:
-            ops = self._vector_translate(carrier.batch)
-            if ops is None:
-                translator.process_batch(carrier.batch)
-                ops = self._defer.take()
-        else:
-            for raw in carrier.raws:
+        if isinstance(carrier, list):
+            for raw in carrier:
                 translator.handle_report(raw)
             ops = self._defer.take()
+        else:
+            ops = self._vector_translate(carrier)
+            if ops is None:
+                translator.process_batch(carrier)
+                ops = self._defer.take()
         stats = self._stage_stats["translate"]
         stats.carriers += 1
         stats.reports += len(carrier)
-        if not ops:
-            return None
-        return _Burst(carrier.seq, ops)
+        return ops
 
-    def _translate_finalize(self) -> list:
-        """End-of-stream epoch work: flush partial Append batches."""
-        self.translator.flush_appends()
-        ops = self._defer.take()
-        if not ops:
-            return []
-        return [_Burst(FLUSH_SEQ, ops)]
-
-    def _execute_stage(self, burst: _Burst) -> None:
+    def _execute(self, seq: int, ops: list) -> None:
         """Replay the deferred verbs against the real RDMA client.
 
         The whole burst applies under :attr:`store_lock`: this stage is
@@ -451,16 +363,15 @@ class StreamEngine:
         batch boundaries the only states a :meth:`snapshot` can see.
         """
         client = self._real_client
-        stats = self._stage_stats["execute"]
-        stats.carriers += 1
+        self._stage_stats["execute"].carriers += 1
         with self.store_lock:
             # Retention rotation fires *before* this burst applies:
-            # every batch below burst.seq is fully in the store and
-            # nothing of burst.seq is, so the epoch boundary coincides
-            # with a batch boundary (the PR 6 snapshot rule).
-            if self.retention is not None and burst.seq != FLUSH_SEQ:
-                self.retention.on_batch(burst.seq)
-            for op in burst.ops:
+            # every batch below seq is fully in the store and nothing
+            # of seq is, so the epoch boundary coincides with a batch
+            # boundary (the PR 6 snapshot rule).
+            if self.retention is not None and seq != FLUSH_SEQ:
+                self.retention.on_batch(seq)
+            for op in ops:
                 kind = op[0]
                 if kind == "post":
                     client.post(op[1])
@@ -470,9 +381,8 @@ class StreamEngine:
                     self._apply_write_rows(client, op)
                 else:
                     self._apply_fetch_add(client, op)
-            if burst.seq != FLUSH_SEQ:
-                self._executed_seq = burst.seq
-        return None
+            if seq != FLUSH_SEQ:
+                self._executed_seq = seq
 
     # ------------------------------------------------------------------
     # Vector plan/apply split
@@ -482,10 +392,10 @@ class StreamEngine:
         """Validate the static halves of vector eligibility once.
 
         Burst targets in direct mode are fixed at deployment time, so
-        the (thread-sensitive) resolution runs once here instead of
-        per batch inside the translate stage; the execute stage still
-        re-resolves before *applying*, because the dynamic conditions
-        (stall, QP state) can change mid-stream.
+        the resolution runs once here instead of per batch inside the
+        translate stage; the execute stage still re-resolves before
+        *applying*, because the dynamic conditions (stall, QP state)
+        can change mid-stream.
         """
         self._kw_plan = None
         self._ki_plan = None
@@ -578,105 +488,6 @@ class StreamEngine:
             for idx, addend in zip(counter_indices, addends)])
 
     # ------------------------------------------------------------------
-    # Workers
-    # ------------------------------------------------------------------
-
-    def _run_group(self, index: int) -> None:
-        stages = self._groups[index]
-        inq = self._queues[index]
-        outq = (self._queues[index + 1]
-                if index + 1 < len(self._queues) else None)
-        stage_name = stages[0]
-        seq = FLUSH_SEQ
-        try:
-            while True:
-                item = inq.get()
-                if item is CLOSED:
-                    break
-                seq = item.seq
-                items = self._run_stages(stages, 0, [item])
-                if outq is not None:
-                    for it in items:
-                        outq.put(it)
-            # Input ended: run finalizers in stage order, feeding each
-            # one's output through the *later* stages of this group.
-            seq = FLUSH_SEQ
-            for offset, name in enumerate(stages):
-                finalize = self._finalizers.get(name)
-                if finalize is None:
-                    continue
-                stage_name = name
-                items = self._run_stages(stages, offset + 1, finalize())
-                if outq is not None:
-                    for it in items:
-                        outq.put(it)
-            if outq is not None:
-                outq.close()
-        except QueueAborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - must reach caller
-            stage_name = getattr(exc, "_repro_stage", stage_name)
-            self._fail(stage_name, seq, exc)
-
-    def _run_stages(self, stages, start: int, items: list) -> list:
-        """Push ``items`` through ``stages[start:]`` synchronously."""
-        for name in stages[start:]:
-            if not items:
-                break
-            fn = self._stage_fns[name]
-            next_items: list = []
-            for item in items:
-                try:
-                    out = fn(item)
-                except QueueAborted:
-                    raise
-                except BaseException as exc:
-                    exc._repro_stage = name
-                    raise
-                if out is None:
-                    continue
-                if isinstance(out, list):
-                    next_items.extend(out)
-                else:
-                    next_items.append(out)
-            items = next_items
-        return items
-
-    def _run_inline(self, carrier: _Carrier) -> None:
-        """The ``workers=0`` fallback: all four stages, synchronously."""
-        try:
-            items = self._run_stages(STAGES, 0, [carrier])
-            assert not items
-        except BaseException as exc:
-            self._fail(getattr(exc, "_repro_stage", "encode"),
-                       carrier.seq, exc)
-            raise self._error from exc
-
-    def _finalize_inline(self) -> None:
-        try:
-            for offset, name in enumerate(STAGES):
-                finalize = self._finalizers.get(name)
-                if finalize is None:
-                    continue
-                items = self._run_stages(STAGES, offset + 1, finalize())
-                assert not items
-        except BaseException as exc:
-            self._fail(getattr(exc, "_repro_stage", "translate"),
-                       FLUSH_SEQ, exc)
-            raise self._error from exc
-
-    def _fail(self, stage: str, seq: int, exc: BaseException) -> None:
-        with self._error_lock:
-            if self._error is None:
-                error = StageError(stage, seq, exc)
-                error.__cause__ = exc
-                self._error = error
-                obs.emit("runtime", "stage_error", engine=self.name,
-                         stage=stage, batch_seq=seq)
-        for queue in self._queues:
-            queue.abort()
-
-    # ------------------------------------------------------------------
     # Control frames
     # ------------------------------------------------------------------
 
@@ -702,10 +513,6 @@ class StreamEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def queues(self) -> list:
-        return list(self._queues)
 
     def stage_stats(self, stage: str) -> StageStats:
         return self._stage_stats[stage]
@@ -757,12 +564,13 @@ class StreamEngine:
 def pipeline_digest(snapshot) -> str:
     """SHA-256 over the snapshot minus the wall-clock-dependent series.
 
-    Queue depths, stalls, and stall times (``runtime.*``) measure
-    *scheduling*, and query wall time (``queries.wall_ns``) measures
-    the host clock; both legitimately differ run to run.  Everything
-    else measures the *computation* and must be bit-identical across
-    worker counts and queue depths.  This digest is what the
-    differential tests and the soak gate compare.
+    The engine's own ``runtime.*`` series describe the *execution*
+    (a plain ``send_batch`` loop has none of them), and query wall
+    time (``queries.wall_ns``) measures the host clock, which
+    legitimately differs run to run.  Everything else measures the
+    *computation* and must be bit-identical with vectorization on or
+    off.  This digest is what the differential tests and the soak
+    gate compare.
     """
     from repro.obs.registry import Snapshot
 

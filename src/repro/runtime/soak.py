@@ -2,25 +2,25 @@
 
 Drives the streaming engine (:mod:`repro.runtime.engine`) with a
 seeded :mod:`repro.bench` workload for a wall-clock duration (or a
-fixed report count), then replays exactly the submitted prefix through
-the ``workers=0`` serial reference lane and holds the two runs to the
-determinism contract: identical collector store bytes, identical
-non-``runtime.*`` obs digests, zero report loss, and — outside smoke
-mode — streamed throughput at least :data:`THROUGHPUT_GATE` times the
-serial reference.
+fixed report count) on the vectorized lane, then replays exactly the
+submitted prefix through the scalar reference lane and holds the two
+runs to the determinism contract: identical collector store bytes,
+identical non-``runtime.*`` obs digests, zero report loss, and —
+outside smoke mode — vectorized throughput at least
+:data:`THROUGHPUT_GATE` times the scalar reference.
 
-The serial baseline is deliberately the *scalar* reference path
-(``workers=0`` with vectorization off): that is today's
-line-by-line-auditable semantics, the same lane every PR 4 digest gate
-is anchored to, so one serial run serves as both the correctness oracle
-and the speedup denominator (see ``docs/BENCHMARKS.md``, "Soak lane").
+The serial baseline is deliberately the *scalar* reference path (the
+same inline engine with vectorization off): that is the
+line-by-line-auditable semantics every digest gate is anchored to, so
+one serial run serves as both the correctness oracle and the speedup
+denominator (see ``docs/BENCHMARKS.md``, "Soak lane").
 
-Each run appends one ``repro-soak/2`` record to ``BENCH_HISTORY.jsonl``
+Each run appends one ``repro-soak/3`` record to ``BENCH_HISTORY.jsonl``
 via :func:`repro.bench.append_history`, alongside the ``repro-bench/2``
 records — readers distinguish lanes by the ``schema`` field.  Older
-``/2`` records carry one extra config field naming the streamed
-lane's parallelism substrate, from when a process-based lane existed
-beside the thread stage groups (see ``docs/BENCHMARKS.md``).
+``/2`` records also carry the thread-stage-group settings
+(``workers``, ``queue_depth``, per-queue high watermarks) from before
+the engine became inline-only (see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import time
 from repro import bench, obs
 from repro.core.batch import ReportBatch
 from repro.runtime.engine import StreamEngine, pipeline_digest, store_digest
-from repro.runtime.queues import _clock
 
-SOAK_SCHEMA = "repro-soak/2"
-#: Streamed reports/sec must beat the serial reference by this factor.
+SOAK_SCHEMA = "repro-soak/3"
+#: Vectorized reports/sec must beat the scalar reference by this factor.
 THROUGHPUT_GATE = 1.5
 
 
@@ -55,8 +54,7 @@ def _make_batch(primitive: str, work: dict, s: int, e: int) -> ReportBatch:
     return ReportBatch.appends(work["list_ids"][s:e], work["datas"][s:e])
 
 
-def run_lane(primitive: str, work: dict, *, workers: int,
-             queue_depth: int = 64, vectorized: bool = True,
+def run_lane(primitive: str, work: dict, *, vectorized: bool = True,
              batch_size: int = 64, sketch_width: int = 0,
              duration: float | None = None,
              rate: float | None = None) -> dict:
@@ -70,15 +68,14 @@ def run_lane(primitive: str, work: dict, *, workers: int,
     registry, previous, collector, translator, reporter = bench._deploy(
         vectorized=False, sketch_width=sketch_width)
     engine = StreamEngine(collector, translator, reporter,
-                          workers=workers, queue_depth=queue_depth,
                           vectorized=vectorized, name="soak")
     submitted = 0
     try:
-        start = _clock()
+        start = time.monotonic()
         deadline = start + duration if duration else None
         engine.start()
         for s in range(0, n, batch_size):
-            now = _clock()
+            now = time.monotonic()
             if deadline is not None and now >= deadline:
                 break
             if rate and submitted:
@@ -90,7 +87,7 @@ def run_lane(primitive: str, work: dict, *, workers: int,
             engine.submit(_make_batch(primitive, work, s, e))
             submitted += e - s
         engine.drain()
-        elapsed = _clock() - start
+        elapsed = time.monotonic() - start
         snapshot = registry.snapshot()
     finally:
         engine.close()
@@ -107,9 +104,7 @@ def run_lane(primitive: str, work: dict, *, workers: int,
                  == translator.stats.reports_in
                  and link.drops == 0
                  and translator.stats.dropped_while_crashed == 0)
-    high_watermarks = {q.name: q.high_watermark for q in engine.queues}
     return {
-        "workers": workers,
         "vectorized": bool(vectorized),
         "submitted": submitted,
         "elapsed_s": round(elapsed, 6),
@@ -119,18 +114,16 @@ def run_lane(primitive: str, work: dict, *, workers: int,
         "store_digest": store_digest(collector),
         "drops": drops,
         "zero_loss": zero_loss,
-        "queue_high_watermarks": high_watermarks,
     }
 
 
 def run_soak(*, primitive: str = "key_write", reports: int = 120_000,
-             batch_size: int = 64, queue_depth: int = 64,
-             workers: int = 2, seed: int = 1,
+             batch_size: int = 64, seed: int = 1,
              duration: float | None = None, rate: float | None = None,
              smoke: bool = False, date: str = "unknown") -> dict:
-    """Streamed soak + serial reference replay; returns the document.
+    """Vectorized soak + scalar reference replay; returns the document.
 
-    The streamed lane runs first (optionally duration-bounded and
+    The streamed (vectorized) lane runs first (optionally duration-bounded and
     rate-paced); the serial lane then replays exactly the prefix the
     streamed lane actually submitted.  Bench workload columns are *not*
     prefix-stable across different generation sizes (the RNG is drained
@@ -139,14 +132,13 @@ def run_soak(*, primitive: str = "key_write", reports: int = 120_000,
     """
     work = bench._workload(primitive, reports, seed)
     sketch_width = reports if primitive == "sketch_merge" else 0
-    streamed = run_lane(primitive, work, workers=max(workers, 1),
-                        queue_depth=queue_depth, vectorized=True,
+    streamed = run_lane(primitive, work, vectorized=True,
                         batch_size=batch_size, sketch_width=sketch_width,
                         duration=duration, rate=rate)
     prefix = {key: column[:streamed["submitted"]]
               for key, column in work.items()}
-    serial = run_lane(primitive, prefix, workers=0, vectorized=False,
-                      queue_depth=queue_depth, batch_size=batch_size,
+    serial = run_lane(primitive, prefix, vectorized=False,
+                      batch_size=batch_size,
                       sketch_width=sketch_width)
 
     digest_match = (streamed["obs_digest"] == serial["obs_digest"]
@@ -170,8 +162,7 @@ def run_soak(*, primitive: str = "key_write", reports: int = 120_000,
         "schema": SOAK_SCHEMA,
         "date": date,
         "config": {"primitive": primitive, "reports": reports,
-                   "batch_size": batch_size, "queue_depth": queue_depth,
-                   "workers": workers, "seed": seed,
+                   "batch_size": batch_size, "seed": seed,
                    "duration_s": duration, "rate": rate, "smoke": smoke,
                    "throughput_gate": THROUGHPUT_GATE},
         "streamed": streamed,
@@ -189,12 +180,11 @@ def render_soak(document: dict) -> str:
     config = document["config"]
     lines = [
         f"soak: {config['primitive']} x{streamed['submitted']} "
-        f"(batch {config['batch_size']}, depth {config['queue_depth']}, "
-        f"seed {config['seed']})",
-        f"  streamed  workers={streamed['workers']} "
+        f"(batch {config['batch_size']}, seed {config['seed']})",
+        f"  streamed  vectorized "
         f"{streamed['reports_per_sec'] or 0:>12,.0f} rps  "
         f"({streamed['elapsed_s']:.3f}s)",
-        f"  serial    workers=0 "
+        f"  serial    scalar     "
         f"{serial['reports_per_sec'] or 0:>12,.0f} rps  "
         f"({serial['elapsed_s']:.3f}s)",
     ]

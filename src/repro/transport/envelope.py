@@ -1,11 +1,11 @@
 """Deployment-lane datagram envelope and in-order reassembly.
 
 DTA reports ride UDP, and the determinism contract of the repository
-(`workers=0` digest equality, see docs/CONCURRENCY.md) requires the
-translator to consume the *post-impairment* stream in a reproducible
-order.  Real UDP gives no such guarantee between two sockets on one
-host — the kernel may legally reorder — so every datagram the reporter
-emits carries a tiny lane envelope:
+(digest equality with the scalar reference, see docs/CONCURRENCY.md)
+requires the translator to consume the *post-impairment* stream in a
+reproducible order.  Real UDP gives no such guarantee between two
+sockets on one host — the kernel may legally reorder — so every
+datagram the reporter emits carries a tiny lane envelope:
 
     >QB   lane sequence number (assigned AFTER the loss shim), kind
 

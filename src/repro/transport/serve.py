@@ -23,8 +23,8 @@ Because both lanes share the byte stream, the impairment schedule, and
 the routing map, digest equality is a property of the transport —
 kernel reordering hidden by the lane envelope, no kernel loss thanks
 to the ACK window — rather than of two implementations happening to
-agree.  This is the ``workers=0`` determinism contract of
-docs/CONCURRENCY.md extended across process and socket boundaries.
+agree.  This is the determinism contract of docs/CONCURRENCY.md
+extended across process and socket boundaries.
 
 Beyond digests, the document gates *conservation*: every emitted
 envelope delivered in order, every delivered report decoded, and the
@@ -35,13 +35,13 @@ by the reporter never exceed bytes the daemons sent.
 from __future__ import annotations
 
 import multiprocessing
+import time
 from dataclasses import asdict, dataclass, field
 
 from repro import bench, obs
 from repro.core import packets
 from repro.core.cluster import ClusterMap
 from repro.runtime.engine import store_digest
-from repro.runtime.queues import _clock
 from repro.transport.assembler import ReportAssembler
 from repro.transport.daemons import (
     ACK_EVERY,
@@ -301,7 +301,7 @@ class SocketLane:
         :class:`ServeError` if any daemon dies or the drain does not
         complete in ``timeout`` seconds.
         """
-        deadline = _clock() + timeout
+        deadline = time.monotonic() + timeout
         pending = dict(enumerate(self._translator_conns))
         drained: dict = {}
         while pending:
@@ -316,7 +316,7 @@ class SocketLane:
                     del pending[index]
             # Keep the window/control machinery moving while we wait.
             self.reporter.poll_control()
-            if pending and _clock() >= deadline:
+            if pending and time.monotonic() >= deadline:
                 raise ServeError(
                     f"translators {sorted(pending)} did not drain "
                     f"within {timeout:.0f}s")
@@ -343,13 +343,13 @@ class SocketLane:
 
     def _await(self, conn, proc, *, expect: str | None = None,
                timeout: float = _READY_TIMEOUT_S):
-        deadline = _clock() + timeout
+        deadline = time.monotonic() + timeout
         while not conn.poll(0.05):
             if not proc.is_alive():
                 raise ServeError(
                     f"daemon {proc.name} died "
                     f"(exitcode {proc.exitcode})")
-            if _clock() >= deadline:
+            if time.monotonic() >= deadline:
                 raise ServeError(
                     f"daemon {proc.name} silent for {timeout:.0f}s")
         reply = conn.recv()
@@ -452,11 +452,11 @@ def run_serve(spec: ServeSpec, *, date: str,
         cmap = ClusterMap(collectors=spec.collectors)
         shards = [route_report(cmap, raw) for raw in raws]
         with SocketLane(spec) as lane:
-            start = _clock()
+            start = time.monotonic()
             lane.send(raws, shards)
             sent = lane.reporter.end_stream()
             stats = lane.drain()
-            elapsed = _clock() - start
+            elapsed = time.monotonic() - start
             lane_digests = lane.digests()
             reporter = lane.reporter
             shim = reporter.shim

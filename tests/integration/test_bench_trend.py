@@ -25,6 +25,9 @@ _HISTORY = [
      "serial": {"reports_per_sec": 80000.0}},
     {"schema": "repro-serve/2", "date": "20260803", "commit": "ccccccc",
      "socket": {"reports_per_sec": 300000.0}},
+    {"schema": "repro-soak/3", "date": "20260804", "commit": "ddddddd",
+     "streamed": {"reports_per_sec": 400000.0},
+     "serial": {"reports_per_sec": 90000.0}},
 ]
 
 
@@ -39,11 +42,13 @@ def _columns(text: str) -> dict:
 
 def test_mixed_history_puts_soak_throughput_in_its_lane():
     columns = _columns(trend.render_trend(_HISTORY))
-    assert columns["repro-soak"] == ["-", "250,000", "-"]
-    assert columns["repro-serve"] == ["-", "-", "300,000"]
-    assert columns["key_write"] == ["100,000", "-", "-"]
+    assert columns["repro-soak"] == ["-", "250,000", "-", "400,000"]
+    assert columns["repro-serve"] == ["-", "-", "300,000", "-"]
+    assert columns["key_write"] == ["100,000", "-", "-", "-"]
 
 
 def test_soak_lane_selectable_alone():
+    """``/2`` (thread-stage-group era) and ``/3`` (inline-only) soak
+    records share one lane."""
     text = trend.render_trend(_HISTORY, lane="repro-soak")
-    assert _columns(text)["repro-soak"] == ["-", "250,000", "-"]
+    assert _columns(text)["repro-soak"] == ["-", "250,000", "-", "400,000"]

@@ -1,10 +1,10 @@
 """The differential gate: every shipped plan agrees with the serial lane.
 
 ROADMAP item 1's acceptance test, in suite form: stream the mixed
-workload at several worker counts, evaluate the full query catalog over
-each drained store set, and require bit-equality — on the result rows
+workload on the vectorized lane, evaluate the full query catalog over
+the drained store set, and require bit-equality — on the result rows
 of every plan, and on the store digests underneath them — with the
-``workers=0`` serial reference.  A torn write, a reordered burst, or an
+scalar serial reference.  A torn write, a reordered burst, or an
 order-sensitive operator would all surface here.
 """
 
@@ -23,17 +23,16 @@ def reference():
     """The serial lane: workloads, catalog rows, and store digest."""
     works = catalog.demo_workloads(REPORTS, SEED)
     _registry, collector, _engine, zero_loss = catalog.stream_mixed(
-        works, workers=0, batch_size=32)
+        works, vectorized=False, batch_size=32)
     assert zero_loss
     results, _cost = catalog.run_catalog(collector, works)
     return works, results, catalog.lane_digest(collector)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_catalog_matches_serial_reference(reference, workers):
+def test_catalog_matches_serial_reference(reference):
     works, serial_results, serial_digest = reference
     _registry, collector, _engine, zero_loss = catalog.stream_mixed(
-        works, workers=workers, batch_size=32)
+        works, vectorized=True, batch_size=32)
     assert zero_loss
     results, cost = catalog.run_catalog(collector, works)
     assert catalog.lane_digest(collector) == serial_digest
@@ -50,7 +49,7 @@ def test_catalog_over_snapshot_equals_live(reference):
     the quiesced live collector it was taken from."""
     works, _serial_results, _digest = reference
     _registry, collector, _engine, zero_loss = catalog.stream_mixed(
-        works, workers=2, batch_size=32)
+        works, batch_size=32)
     assert zero_loss
     live_results, _cost = catalog.run_catalog(collector, works)
     snap_results, _cost = catalog.run_catalog(snapshot_of(collector),

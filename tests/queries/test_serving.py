@@ -84,7 +84,7 @@ class TestCli:
             assert name in out
 
     def test_oneshot_reports_results_and_costs(self, capsys):
-        assert main(["query", "--reports", "160", "--workers", "2"]) == 0
+        assert main(["query", "--reports", "160"]) == 0
         out = capsys.readouterr().out
         assert "zero_loss=True" in out
         assert "rows_scanned" in out

@@ -80,7 +80,7 @@ class TestCollectorEntryPoint:
 
 
 class TestEngineSnapshots:
-    def _streamed(self, workers):
+    def _streamed(self, vectorized):
         from repro import bench, obs
         from repro.runtime.engine import StreamEngine
         from repro.runtime.soak import _make_batch
@@ -89,7 +89,7 @@ class TestEngineSnapshots:
         registry, previous, collector, translator, reporter = \
             bench._deploy(vectorized=False)
         engine = StreamEngine(collector, translator, reporter,
-                              workers=workers, vectorized=False)
+                              vectorized=vectorized)
         snaps = []
         try:
             engine.start()
@@ -106,18 +106,20 @@ class TestEngineSnapshots:
         return work, collector, engine, snaps
 
     def test_snapshot_lands_on_batch_boundaries(self):
-        work, collector, engine, snaps = self._streamed(workers=2)
+        work, collector, engine, snaps = self._streamed(vectorized=True)
         mid, final = snaps
-        # Mid-stream: some prefix of bursts, identified by batch_seq.
-        assert mid.batch_seq is None or 0 <= mid.batch_seq <= 7
+        # Mid-stream: exactly the bursts submitted so far (batches 0-4).
+        assert mid.batch_seq == 4
+        assert mid.store_digest() != final.store_digest()
         # After drain every burst has applied; the snapshot is the
         # final store state, bit for bit.
         assert final.batch_seq == engine.executed_seq == 7
         assert final.store_digest() == store_digest(collector)
 
-    def test_serial_engine_snapshot_matches_threaded(self):
-        _work, serial_col, _se, serial_snaps = self._streamed(workers=0)
-        _work, thread_col, _te, thread_snaps = self._streamed(workers=2)
-        assert serial_snaps[-1].store_digest() \
-            == thread_snaps[-1].store_digest()
-        assert store_digest(serial_col) == store_digest(thread_col)
+    def test_vectorized_engine_snapshots_match_scalar(self):
+        _work, scalar_col, _se, scalar_snaps = self._streamed(False)
+        _work, vector_col, _ve, vector_snaps = self._streamed(True)
+        for scalar, vector in zip(scalar_snaps, vector_snaps):
+            assert scalar.batch_seq == vector.batch_seq
+            assert scalar.store_digest() == vector.store_digest()
+        assert store_digest(scalar_col) == store_digest(vector_col)

@@ -86,8 +86,7 @@ def test_query_servers_never_observe_torn_epochs_across_rotations():
     manager = RetentionManager(
         col, policy=RetentionPolicy(window=WINDOW, rotate_every=1),
         translator=tr)
-    engine = StreamEngine(col, tr, rep, workers=2, queue_depth=8,
-                          retention=manager)
+    engine = StreamEngine(col, tr, rep, retention=manager)
 
     stop = threading.Event()
     readers = [_EpochReader(engine, stop) for _ in range(READERS)]

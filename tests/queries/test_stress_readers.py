@@ -83,8 +83,7 @@ def test_readers_never_observe_a_torn_batch_under_faults():
 
     previous = obs.get_registry()
     obs.set_registry(obs.Registry())
-    engine = StreamEngine(col, translator, reporter, workers=2,
-                          queue_depth=8, vectorized=False)
+    engine = StreamEngine(col, translator, reporter, vectorized=False)
     stop = threading.Event()
     readers = [_Reader(engine, stop) for _ in range(READERS)]
     try:

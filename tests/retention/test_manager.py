@@ -2,9 +2,9 @@
 
 The PR 6 snapshot rule, extended: rotation and checkpointing land only
 on batch boundaries under ``store_lock``, the engine hook is
-worker-count independent (same batch seqs -> same rotation points ->
-identical store *and* pipeline digests), and ``engine.checkpoint``
-records the executed batch seq it snapshotted at.
+independent of the vectorized lane (same batch seqs -> same rotation
+points -> identical store digests), and ``engine.checkpoint`` records
+the executed batch seq it snapshotted at.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from repro.retention.manager import RetentionManager
 from repro.runtime.engine import StreamEngine, store_digest
 
 
-def _deploy(workers: int, rotate_every: int | None = 4,
-            window: int = 2):
+def _deploy(rotate_every: int | None = 4, window: int = 2,
+            vectorized: bool = False):
     col = Collector()
     col.serve_keywrite(slots=4096, data_bytes=8)
     tr = Translator()
@@ -33,7 +33,7 @@ def _deploy(workers: int, rotate_every: int | None = 4,
         col, policy=RetentionPolicy(window=window,
                                     rotate_every=rotate_every),
         translator=tr)
-    engine = StreamEngine(col, tr, rep, workers=workers,
+    engine = StreamEngine(col, tr, rep, vectorized=vectorized,
                           retention=manager)
     return col, manager, engine
 
@@ -50,7 +50,7 @@ def _drive(engine, batches: int = 16, per_batch: int = 8) -> None:
 
 
 def test_engine_hook_rotates_on_batch_cadence():
-    col, manager, engine = _deploy(workers=0, rotate_every=4)
+    col, manager, engine = _deploy(rotate_every=4)
     _drive(engine, batches=16)
     # Boundaries at seqs 4, 8, 12 -> three engine-driven rotations.
     assert manager.epochs.rotations == 3
@@ -61,11 +61,10 @@ def test_engine_hook_rotates_on_batch_cadence():
         assert report.changed["keywrite"] > 0
 
 
-@pytest.mark.parametrize("workers", (1, 2, 4))
-def test_rotation_is_worker_count_independent(workers):
-    col0, manager0, engine0 = _deploy(workers=0)
+def test_rotation_is_lane_independent():
+    col0, manager0, engine0 = _deploy()
     _drive(engine0)
-    colN, managerN, engineN = _deploy(workers=workers)
+    colN, managerN, engineN = _deploy(vectorized=True)
     _drive(engineN)
     assert store_digest(colN) == store_digest(col0)
     assert managerN.epochs.rotations == manager0.epochs.rotations
@@ -74,13 +73,13 @@ def test_rotation_is_worker_count_independent(workers):
 
 
 def test_manual_rotation_left_manual_without_cadence():
-    col, manager, engine = _deploy(workers=0, rotate_every=None)
+    col, manager, engine = _deploy(rotate_every=None)
     _drive(engine)
     assert manager.epochs.rotations == 0
 
 
 def test_expiry_bounds_live_cells_under_cadence():
-    col, manager, engine = _deploy(workers=0, rotate_every=2, window=1)
+    col, manager, engine = _deploy(rotate_every=2, window=1)
     _drive(engine, batches=20)
     reports = manager.epochs.reports
     changed = [r.changed["keywrite"] for r in reports]
@@ -92,7 +91,7 @@ def test_expiry_bounds_live_cells_under_cadence():
 
 
 def test_engine_checkpoint_lands_on_the_executed_boundary(tmp_path):
-    col, manager, engine = _deploy(workers=0, rotate_every=4)
+    col, manager, engine = _deploy(rotate_every=4)
     path = str(tmp_path / "ckpt")
     with engine:
         for seq in range(8):
@@ -119,7 +118,7 @@ def test_engine_checkpoint_requires_a_retention_manager(tmp_path):
     tr = Translator()
     col.connect_translator(tr)
     rep = Reporter("mgr", 1, transmit=tr.handle_report)
-    engine = StreamEngine(col, tr, rep, workers=0)
+    engine = StreamEngine(col, tr, rep)
     with engine:
         engine.drain()
         with pytest.raises(RuntimeError):

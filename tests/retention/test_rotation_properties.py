@@ -65,7 +65,7 @@ def test_keywrite_rotate_then_query_equals_query_then_filter(batch_size):
         col, policy=RetentionPolicy(window=8,
                                     rotate_every=batches_per_epoch),
         translator=tr)
-    engine = StreamEngine(col, tr, rep, workers=0, retention=manager)
+    engine = StreamEngine(col, tr, rep, retention=manager)
 
     epochs: dict[int, list] = {}
     last_writer: dict[int, int] = {}       # slot -> last epoch written

@@ -1,13 +1,12 @@
-"""Differential: streamed execution is bit-identical to serial.
+"""Differential: the streaming engine is bit-identical to serial.
 
 The streaming engine's determinism contract (see
-``docs/ARCHITECTURE.md``, "Streaming runtime") says worker count and
-queue depth change *scheduling* and nothing else: collector store
-bytes and every non-``runtime.*`` obs series must match the serial
-reference exactly.  These tests sweep the full (primitive x workers x
-queue depth) matrix on one seeded workload and hold every cell to the
-``workers=0`` reference — and hold that reference, in turn, to the
-plain ``send_batch`` loop the rest of the suite trusts.
+``docs/CONCURRENCY.md``) says vectorization changes *speed* and
+nothing else: collector store bytes and every non-``runtime.*`` obs
+series must match the scalar reference exactly.  These tests hold the
+inline engine — vectorized and scalar, on every primitive — to the
+plain ``send_batch`` loop the rest of the suite trusts, and check that
+the Key-Write / Key-Increment plan/apply split actually engages.
 """
 
 from __future__ import annotations
@@ -15,45 +14,25 @@ from __future__ import annotations
 import pytest
 
 from repro import bench, obs
-from repro.kernels import HAVE_NUMPY
+from repro.kernels import burst as kburst
 from repro.runtime import StreamEngine, run_lane, store_digest
 from repro.runtime.soak import _make_batch
 
 REPORTS = 480
 BATCH = 32
 SEED = 11
-WORKERS = (0, 1, 2, 4)
-DEPTHS = (1, 4, 64)
 
 
 def _sketch_width(primitive: str) -> int:
     return REPORTS if primitive == "sketch_merge" else 0
 
 
-@pytest.mark.parametrize("primitive", bench.PRIMITIVES)
-def test_streamed_matches_serial_across_workers_and_depths(primitive):
-    """Store bytes + obs digests agree at every (workers, depth)."""
-    work = bench._workload(primitive, REPORTS, SEED)
-    reference = None
-    for workers in WORKERS:
-        for depth in DEPTHS:
-            lane = run_lane(primitive, work, workers=workers,
-                            queue_depth=depth, vectorized=workers > 0,
-                            batch_size=BATCH,
-                            sketch_width=_sketch_width(primitive))
-            assert lane["zero_loss"], (primitive, workers, depth,
-                                       lane["drops"])
-            signature = (lane["obs_digest"], lane["store_digest"])
-            if reference is None:
-                reference = signature
-            assert signature == reference, (primitive, workers, depth)
-
-
-def _engine_snapshot(primitive: str, work: dict, **engine_kw):
+def _engine_snapshot(primitive: str, work: dict, *, vectorized: bool):
     """Run one engine over the workload; return (snapshot, store)."""
     registry, previous, collector, translator, reporter = bench._deploy(
         vectorized=False, sketch_width=_sketch_width(primitive))
-    engine = StreamEngine(collector, translator, reporter, **engine_kw)
+    engine = StreamEngine(collector, translator, reporter,
+                          vectorized=vectorized)
     try:
         engine.start()
         n = len(next(iter(work.values())))
@@ -68,10 +47,9 @@ def _engine_snapshot(primitive: str, work: dict, **engine_kw):
     return snapshot, store_digest(collector)
 
 
-@pytest.mark.parametrize("primitive", bench.PRIMITIVES)
-def test_workers0_engine_equals_plain_serial_loop(primitive):
-    """The inline fallback adds link/runtime series and changes nothing
-    else: every series the plain ``send_batch`` loop produces has the
+def _assert_engine_equals_plain_loop(primitive: str, vectorized: bool):
+    """The engine adds link/runtime series and changes nothing else:
+    every series the plain ``send_batch`` loop produces has the
     identical value under the engine, and the stores are byte-equal."""
     work = bench._workload(primitive, REPORTS, SEED)
     registry, previous, collector, translator, reporter = bench._deploy(
@@ -83,8 +61,8 @@ def test_workers0_engine_equals_plain_serial_loop(primitive):
     finally:
         obs.set_registry(previous)
 
-    snapshot, store = _engine_snapshot(primitive, work, workers=0,
-                                       vectorized=False)
+    snapshot, store = _engine_snapshot(primitive, work,
+                                       vectorized=vectorized)
     assert store == plain_store
     for key, value in plain_snapshot.samples.items():
         assert snapshot.samples.get(key) == value, key
@@ -93,35 +71,49 @@ def test_workers0_engine_equals_plain_serial_loop(primitive):
                for name, _labels in extra), sorted(extra)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector lanes need numpy")
+@pytest.mark.parametrize("primitive", bench.PRIMITIVES)
+def test_workers0_engine_equals_plain_serial_loop(primitive):
+    """The scalar engine lane equals the plain serial loop."""
+    _assert_engine_equals_plain_loop(primitive, vectorized=False)
+
+
+@pytest.mark.parametrize("primitive", bench.PRIMITIVES)
+def test_vectorized_engine_equals_plain_serial_loop(primitive):
+    """The vectorized engine lane — the one the benchmark times —
+    equals the plain serial loop too."""
+    _assert_engine_equals_plain_loop(primitive, vectorized=True)
+
+
 @pytest.mark.parametrize("primitive", ("key_write", "key_increment"))
-def test_vectorized_plan_apply_split_matches_scalar(primitive):
-    """The engine's cross-stage plan/apply split (translate plans the
-    arrays, execute scatters them) digests identically to the scalar
-    reference — the PR 4 vectorization guarantee, preserved across the
-    stage boundary."""
+def test_vectorized_plan_apply_split_matches_scalar(primitive,
+                                                     monkeypatch):
+    """The engine's plan/apply split (translate plans the arrays,
+    execute scatters them) engages on every batch and digests
+    identically to the scalar reference — the PR 4 vectorization
+    guarantee, preserved across the stage boundary."""
+    kernel = ("write_rows" if primitive == "key_write"
+              else "fetch_add_many")
+    calls = []
+    real = getattr(kburst, kernel)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
     work = bench._workload(primitive, REPORTS, SEED)
-    scalar = run_lane(primitive, work, workers=0, vectorized=False,
-                      batch_size=BATCH)
-    vector = run_lane(primitive, work, workers=2, vectorized=True,
-                      batch_size=BATCH)
+    scalar = run_lane(primitive, work, vectorized=False, batch_size=BATCH)
+    monkeypatch.setattr(kburst, kernel, counting)
+    vector = run_lane(primitive, work, vectorized=True, batch_size=BATCH)
+    assert len(calls) == REPORTS // BATCH
     assert vector["obs_digest"] == scalar["obs_digest"]
     assert vector["store_digest"] == scalar["store_digest"]
 
 
-def test_queue_metrics_register_and_exclude_from_digest():
-    """Queue depth/stall series exist under ``runtime.*`` (so they are
-    observable) and are excluded from the pipeline digest (so they do
-    not break determinism)."""
-    work = bench._workload("key_write", REPORTS, SEED)
-    snapshot, _store = _engine_snapshot("key_write", work, workers=2,
-                                        queue_depth=4, vectorized=False)
-    names = {name for name, _labels in snapshot.samples}
-    assert "runtime.queue_depth" in names
-    assert "runtime.enqueued" in names
-    assert "runtime.carriers" in names
-    from repro.runtime import pipeline_digest
-    digest_names = {name for name, _labels in snapshot.samples
-                    if not name.startswith("runtime.")}
-    assert "runtime.queue_depth" not in digest_names
-    assert pipeline_digest(snapshot)  # digest of the filtered snapshot
+def test_nonzero_workers_is_rejected():
+    """The engine is inline-only; asking for stage threads fails."""
+    _registry, previous, collector, translator, reporter = bench._deploy(
+        vectorized=False)
+    obs.set_registry(previous)
+    for workers in (1, 2, 4, -1):
+        with pytest.raises(ValueError, match="inline only"):
+            StreamEngine(collector, translator, reporter, workers=workers)

@@ -72,9 +72,3 @@ def test_cli_run_rejects_unknown_primitive(tmp_path):
     assert main(["run", "--primitive", "nope", "--smoke",
                  "--history", str(tmp_path / "h.jsonl")]) == 2
 
-
-def test_stall_clock_is_shared_across_runtime_modules():
-    """soak elapsed time and queue stall accounting use one clock."""
-    from repro.runtime import queues, soak
-
-    assert soak._clock is queues._clock

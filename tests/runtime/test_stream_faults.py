@@ -3,11 +3,10 @@
 PR 3's contract is that every fault has a recovery path; the streaming
 runtime must not re-break it.  A translator crash inside the translate
 stage, or a link blackout between encode and translate, must leave the
-pipeline drainable (never wedged on a queue nobody serves), keep the
-loss accounting exact, and — for essential traffic — leave a state the
-controller sweep (:func:`repro.faults.recover_stream`) can fully
-repair, exactly as :func:`repro.faults.drain_losses` does for the
-serial path.
+pipeline drainable, keep the loss accounting exact, and — for
+essential traffic — leave a state the controller sweep
+(:func:`repro.faults.recover_stream`) can fully repair, exactly as
+:func:`repro.faults.drain_losses` does for the serial path.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pytest
 from repro import bench, obs
 from repro.core.batch import ReportBatch
 from repro.faults import recover_stream
-from repro.runtime import StageError, StreamEngine
+from repro.runtime import StageError, StreamEngine, store_digest
 from repro.runtime.soak import _make_batch
 
 BATCH = 16
@@ -33,13 +32,13 @@ def _deployment():
 
 
 def test_translator_crash_mid_stream_drains_without_hang():
-    """Crash/restart while carriers are in flight: the stream drains,
-    and every submitted report is either processed or counted dropped —
+    """Crash/restart mid-stream: the stream drains, and every
+    submitted report is either processed or counted dropped —
     conservation, not silence."""
     work = bench._workload("key_write", 480, SEED)
     _registry, previous, collector, translator, reporter = _deployment()
-    engine = StreamEngine(collector, translator, reporter, workers=2,
-                          queue_depth=4, vectorized=False)
+    engine = StreamEngine(collector, translator, reporter,
+                          vectorized=False)
     try:
         engine.start()
         n = len(work["keys"])
@@ -57,17 +56,15 @@ def test_translator_crash_mid_stream_drains_without_hang():
     assert reporter.stats.reports_sent == n
     assert stats.dropped_while_crashed > 0
     assert stats.reports_in + stats.dropped_while_crashed == n
-    for thread in engine._threads:
-        assert not thread.is_alive()
 
 
 def test_link_blackout_drops_whole_carriers_deterministically():
     """A StreamLink fault window (the injector's blackout hook) drops
-    carriers between encode and translate; with ``workers=0`` the
-    window boundaries are exact, so the counts are too."""
+    carriers between encode and translate; the window boundaries are
+    exact, so the counts are too."""
     work = bench._workload("key_write", 320, SEED)
     _registry, previous, collector, translator, reporter = _deployment()
-    engine = StreamEngine(collector, translator, reporter, workers=0,
+    engine = StreamEngine(collector, translator, reporter,
                           vectorized=False)
     n = len(work["keys"])
     blacked_out = 0
@@ -103,7 +100,7 @@ def _essential_run(*, crash_window=None):
     keys = [struct.pack(">I", 0xABC00000 | i) for i in range(n)]
     datas = [struct.pack(">QQ", i, i * 7) for i in range(n)]
     _registry, previous, collector, translator, reporter = _deployment()
-    engine = StreamEngine(collector, translator, reporter, workers=0,
+    engine = StreamEngine(collector, translator, reporter,
                           vectorized=False)
     try:
         engine.start()
@@ -151,16 +148,15 @@ def test_recover_stream_is_a_noop_on_a_clean_run():
     assert hits > 0
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_failing_batch_records_one_stage_error_event(workers):
-    """Inline and threaded lanes share one error path: a batch the
-    translator rejects (here Key-Write with its service unset) raises
-    the same :class:`StageError` and leaves exactly one
-    ``runtime/stage_error`` trace event either way."""
+def test_failing_batch_records_one_stage_error_event():
+    """A batch the translator rejects (here Key-Write with its service
+    unset) raises a :class:`StageError` and leaves exactly one
+    ``runtime/stage_error`` trace event, however often the error is
+    re-raised afterwards."""
     work = bench._workload("key_write", BATCH, SEED)
     registry, previous, collector, translator, reporter = _deployment()
     translator._kw = None
-    engine = StreamEngine(collector, translator, reporter, workers=workers,
+    engine = StreamEngine(collector, translator, reporter,
                           vectorized=False)
     try:
         engine.start()
@@ -172,6 +168,36 @@ def test_failing_batch_records_one_stage_error_event(workers):
         obs.set_registry(previous)
     assert raised.value.stage == "translate"
     assert raised.value.batch_seq == 0
+    events = [event for event in registry.events
+              if (event.component, event.event) == ("runtime", "stage_error")]
+    assert len(events) == 1
+
+
+def test_drain_after_failed_batch_leaves_the_store_untouched():
+    """Once a batch has failed, drain re-raises its StageError before
+    the end-of-stream Append flush runs: the buffered Appends stay
+    buffered and the store keeps the bytes it had at the failure."""
+    appends = bench._workload("append", 5, SEED)
+    work = bench._workload("key_write", BATCH, SEED)
+    registry, previous, collector, translator, reporter = _deployment()
+    engine = StreamEngine(collector, translator, reporter,
+                          vectorized=False)
+    try:
+        engine.start()
+        engine.submit(_make_batch("append", appends, 0, 5))
+        translator._kw = None
+        with pytest.raises(StageError) as failed:
+            engine.submit(_make_batch("key_write", work, 0, BATCH))
+        before = store_digest(collector)
+        with pytest.raises(StageError) as drained:
+            engine.drain()
+        assert store_digest(collector) == before
+    finally:
+        engine.close()
+        obs.set_registry(previous)
+    assert drained.value is failed.value
+    assert not any(translator.append_head(list_id)
+                   for list_id in set(appends["list_ids"]))
     events = [event for event in registry.events
               if (event.component, event.event) == ("runtime", "stage_error")]
     assert len(events) == 1

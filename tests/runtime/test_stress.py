@@ -1,31 +1,18 @@
-"""Stress and failure-path tests for the streaming runtime.
+"""Failure-path and lifecycle tests for the streaming runtime.
 
-The ugly corners: queues that can never make progress, producers that
-outrun consumers, stages that die mid-batch, and operators that shut
+The ugly corners: stages that die mid-batch, and operators that shut
 the same pipeline down twice.  The invariants under test are the ones
-the engine's docstring promises — backpressure blocks instead of
-dropping, a stage failure surfaces as a :class:`StageError` naming the
-failing batch while every thread unwinds, and lifecycle operations are
-idempotent.
+the engine's docstring promises — a stage failure surfaces as a
+:class:`StageError` naming the failing batch, the deployment's wiring
+is restored, and lifecycle operations are idempotent.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro import bench, obs
-from repro.runtime import (
-    CLOSED,
-    CreditQueue,
-    QueueAborted,
-    QueueClosed,
-    StageError,
-    StreamEngine,
-    run_lane,
-)
+from repro.runtime import StageError, StreamEngine
 from repro.runtime.soak import _make_batch
 
 REPORTS = 320
@@ -48,135 +35,15 @@ def _submit_all(engine, work, primitive="key_write"):
 
 
 # ----------------------------------------------------------------------
-# Queues
-# ----------------------------------------------------------------------
-
-
-def test_zero_capacity_queue_is_rejected():
-    with pytest.raises(ValueError):
-        CreditQueue(0)
-    with pytest.raises(ValueError):
-        CreditQueue(-3)
-
-
-def test_put_after_close_raises_and_get_drains():
-    queue = CreditQueue(4)
-    queue.put("a")
-    queue.put("b")
-    queue.close()
-    with pytest.raises(QueueClosed):
-        queue.put("c")
-    assert queue.get() == "a"
-    assert queue.get() == "b"
-    assert queue.get() is CLOSED
-    assert queue.get() is CLOSED    # stays terminal
-
-
-def test_abort_unblocks_a_stalled_producer():
-    queue = CreditQueue(1)
-    queue.put("fill")
-    failures = []
-
-    def producer():
-        try:
-            queue.put("blocked")
-        except QueueAborted:
-            failures.append("aborted")
-
-    thread = threading.Thread(target=producer)
-    thread.start()
-    deadline = time.monotonic() + 2.0
-    while queue.stats.put_stalls == 0 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    queue.abort()
-    thread.join(timeout=2.0)
-    assert not thread.is_alive()
-    assert failures == ["aborted"]
-    with pytest.raises(QueueAborted):
-        queue.get()
-
-
-def test_backpressure_blocks_fast_producer_without_loss():
-    """Producer outruns a deliberately slow consumer through a depth-1
-    queue: the producer must stall (credits exhausted) and every item
-    must still arrive, in order."""
-    queue = CreditQueue(1, name="slow")
-    received = []
-
-    def consumer():
-        while True:
-            item = queue.get()
-            if item is CLOSED:
-                return
-            time.sleep(0.0005)
-            received.append(item)
-
-    thread = threading.Thread(target=consumer)
-    thread.start()
-    for i in range(200):
-        queue.put(i)
-    queue.close()
-    thread.join(timeout=10.0)
-    assert not thread.is_alive()
-    assert received == list(range(200))
-    assert queue.stats.put_stalls > 0
-    assert queue.stats.enqueued == queue.stats.dequeued == 200
-    assert queue.high_watermark <= 1
-
-
-# ----------------------------------------------------------------------
-# Engine backpressure
-# ----------------------------------------------------------------------
-
-
-def test_engine_backpressure_engages_and_drops_nothing():
-    """Depth-1 queues + a slowed execute stage: submit stalls, yet the
-    run stays lossless and digests identically to the unthrottled
-    serial reference."""
-    work = bench._workload("key_write", REPORTS, SEED)
-    serial = run_lane("key_write", work, workers=0, vectorized=False,
-                      batch_size=BATCH)
-    # Same engine name as run_lane's: the link series carry it as a
-    # label, and the digests must be comparing like with like.
-    registry, previous, engine = _fresh_engine(workers=2, queue_depth=1,
-                                               vectorized=False,
-                                               name="soak")
-    real_execute = engine._stage_fns["execute"]
-
-    def slow_execute(burst):
-        time.sleep(0.001)
-        return real_execute(burst)
-
-    engine._stage_fns["execute"] = slow_execute
-    try:
-        engine.start()
-        _submit_all(engine, work)
-        engine.drain()
-        snapshot = registry.snapshot()
-        stalled = sum(q.stats.put_stalls for q in engine.queues)
-    finally:
-        engine.close()
-        obs.set_registry(previous)
-    assert stalled > 0, "expected the credit pool to run dry"
-    from repro.runtime import pipeline_digest
-    assert pipeline_digest(snapshot) == serial["obs_digest"]
-    assert engine.link.stats.drops == 0
-
-
-# ----------------------------------------------------------------------
 # Stage failure
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", (0, 1, 2, 4))
-def test_stage_raising_mid_batch_surfaces_with_batch_id(workers):
+def test_stage_raising_mid_batch_surfaces_with_batch_id():
     """A translate-stage explosion on the third batch surfaces as a
-    StageError carrying the stage name and failing batch seq, at every
-    worker layout, with a clean unwind (join + close, no hang)."""
+    StageError carrying the stage name and failing batch seq."""
     work = bench._workload("key_write", REPORTS, SEED)
-    _registry, previous, engine = _fresh_engine(workers=workers,
-                                                queue_depth=4,
-                                                vectorized=False)
+    _registry, previous, engine = _fresh_engine(vectorized=False)
     translator = engine.translator
     real = translator.process_batch
     calls = {"n": 0}
@@ -201,20 +68,17 @@ def test_stage_raising_mid_batch_surfaces_with_batch_id(workers):
         assert engine.error is error
         # A drained-on-error pipeline reports the same error again
         # rather than pretending the stream completed.
-        if workers:
-            with pytest.raises(StageError):
-                engine.drain()
+        with pytest.raises(StageError) as again:
+            engine.drain()
+        assert again.value is error
     finally:
         engine.close()
         obs.set_registry(previous)
-    for thread in engine._threads:
-        assert not thread.is_alive()
 
 
 def test_submit_after_error_raises_immediately():
     work = bench._workload("key_write", REPORTS, SEED)
-    _registry, previous, engine = _fresh_engine(workers=0,
-                                                vectorized=False)
+    _registry, previous, engine = _fresh_engine(vectorized=False)
 
     def explode(batch, **kw):
         raise ValueError("dead on arrival")
@@ -237,12 +101,9 @@ def test_submit_after_error_raises_immediately():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", (0, 2))
-def test_double_drain_and_double_close_are_idempotent(workers):
+def test_double_drain_and_double_close_are_idempotent():
     work = bench._workload("key_write", REPORTS, SEED)
-    _registry, previous, engine = _fresh_engine(workers=workers,
-                                                queue_depth=4,
-                                                vectorized=False)
+    _registry, previous, engine = _fresh_engine(vectorized=False)
     saved_transmit = engine.reporter.transmit
     try:
         engine.start()
@@ -262,8 +123,7 @@ def test_double_drain_and_double_close_are_idempotent(workers):
 
 def test_context_manager_restores_wiring_on_error():
     work = bench._workload("key_write", REPORTS, SEED)
-    registry, previous, engine = _fresh_engine(workers=2, queue_depth=4,
-                                               vectorized=False)
+    _registry, previous, engine = _fresh_engine(vectorized=False)
     transmit = engine.reporter.transmit
     client = engine.translator.client
     try:
