@@ -1,10 +1,11 @@
 """The differential gate: every shipped plan agrees with the serial lane.
 
 ROADMAP item 1's acceptance test, in suite form: stream the mixed
-workload on the vectorized lane, evaluate the full query catalog over
-the drained store set, and require bit-equality — on the result rows
-of every plan, and on the store digests underneath them — with the
-scalar serial reference.  A torn write, a reordered burst, or an
+workload on the vectorized lane in one, two or four epochs, querying
+the live stream at every epoch boundary, evaluate the full query
+catalog over the drained store set, and require bit-equality — on the
+result rows of every plan, and on the store digests underneath them —
+with the scalar serial reference.  A torn write, a reordered burst, or an
 order-sensitive operator would all surface here.
 """
 
@@ -29,10 +30,28 @@ def reference():
     return works, results, catalog.lane_digest(collector)
 
 
-def test_catalog_matches_serial_reference(reference):
-    works, serial_results, serial_digest = reference
+def _stream_with_live_ticks(works, *, vectorized, epochs):
+    """Stream the mixed workload in ``epochs`` slices, running the
+    catalog over a live engine snapshot at every slice boundary."""
+    ticks = []
+
+    def on_epoch(engine, _epoch):
+        ticks.append(catalog.run_catalog(engine.snapshot(), works)[0])
+
     _registry, collector, _engine, zero_loss = catalog.stream_mixed(
-        works, vectorized=True, batch_size=32)
+        works, vectorized=vectorized, batch_size=32, on_epoch=on_epoch,
+        epochs=epochs)
+    return collector, zero_loss, ticks
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 4])
+def test_catalog_matches_serial_reference(reference, epochs):
+    """The vectorized lane, queried live at ``epochs`` boundaries, ends
+    bit-equal to the serial reference, and every mid-stream tick
+    equals the scalar lane's tick at the same boundary."""
+    works, serial_results, serial_digest = reference
+    collector, zero_loss, ticks = _stream_with_live_ticks(
+        works, vectorized=True, epochs=epochs)
     assert zero_loss
     results, cost = catalog.run_catalog(collector, works)
     assert catalog.lane_digest(collector) == serial_digest
@@ -42,6 +61,11 @@ def test_catalog_matches_serial_reference(reference):
     # Deterministic cost components agree too: same stores, same scans.
     assert all(entry["rows_scanned"] > 0
                for entry in cost["queries"].values())
+    _collector, scalar_zero_loss, scalar_ticks = _stream_with_live_ticks(
+        works, vectorized=False, epochs=epochs)
+    assert scalar_zero_loss
+    assert len(ticks) == len(scalar_ticks) == epochs
+    assert ticks == scalar_ticks
 
 
 def test_catalog_over_snapshot_equals_live(reference):

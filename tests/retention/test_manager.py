@@ -2,14 +2,16 @@
 
 The PR 6 snapshot rule, extended: rotation and checkpointing land only
 on batch boundaries under ``store_lock``, the engine hook is
-independent of the vectorized lane (same batch seqs -> same rotation
-points -> identical store digests), and ``engine.checkpoint`` records
+independent of the vectorized lane and of the reader threads
+snapshotting beside it (same batch seqs -> same rotation points ->
+identical store digests), and ``engine.checkpoint`` records
 the executed batch seq it snapshotted at.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 
 import pytest
 
@@ -61,11 +63,50 @@ def test_engine_hook_rotates_on_batch_cadence():
         assert report.changed["keywrite"] > 0
 
 
-def test_rotation_is_lane_independent():
+def _snapshot_readers(engine, count: int):
+    """Start ``count`` threads that snapshot ``engine`` in a loop (at
+    least once each); returns ``stop()``, which joins them and yields
+    the snapshot counts."""
+    halt = threading.Event()
+    taken = [0] * count
+
+    def read(slot: int) -> None:
+        while True:
+            engine.snapshot()
+            taken[slot] += 1
+            if halt.is_set():
+                return
+
+    threads = [threading.Thread(target=read, args=(i,), daemon=True)
+               for i in range(count)]
+    for thread in threads:
+        thread.start()
+
+    def stop() -> list:
+        halt.set()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        return taken
+
+    return stop
+
+
+@pytest.mark.parametrize("readers", (1, 2, 4))
+def test_rotation_is_worker_count_independent(readers):
+    """Rotation points do not depend on how many reader threads work
+    beside the writer, nor on the lane: the vectorized engine with
+    ``readers`` snapshot threads rotates exactly like the scalar engine
+    alone."""
     col0, manager0, engine0 = _deploy()
     _drive(engine0)
     colN, managerN, engineN = _deploy(vectorized=True)
-    _drive(engineN)
+    stop = _snapshot_readers(engineN, readers)
+    try:
+        _drive(engineN)
+    finally:
+        taken = stop()
+    assert all(count > 0 for count in taken)
     assert store_digest(colN) == store_digest(col0)
     assert managerN.epochs.rotations == manager0.epochs.rotations
     assert managerN.epochs.trackers["keywrite"].gens == \

@@ -148,11 +148,12 @@ def test_recover_stream_is_a_noop_on_a_clean_run():
     assert hits > 0
 
 
-def test_failing_batch_records_one_stage_error_event():
+@pytest.mark.parametrize("reraises", [0, 2])
+def test_failing_batch_records_one_stage_error_event(reraises):
     """A batch the translator rejects (here Key-Write with its service
     unset) raises a :class:`StageError` and leaves exactly one
     ``runtime/stage_error`` trace event, however often the error is
-    re-raised afterwards."""
+    re-raised afterwards (``reraises`` further submit + drain calls)."""
     work = bench._workload("key_write", BATCH, SEED)
     registry, previous, collector, translator, reporter = _deployment()
     translator._kw = None
@@ -163,6 +164,13 @@ def test_failing_batch_records_one_stage_error_event():
         with pytest.raises(StageError) as raised:
             engine.submit(_make_batch("key_write", work, 0, BATCH))
             engine.drain()
+        for _ in range(reraises):
+            with pytest.raises(StageError) as again:
+                engine.submit(_make_batch("key_write", work, 0, BATCH))
+            assert again.value is raised.value
+            with pytest.raises(StageError) as again:
+                engine.drain()
+            assert again.value is raised.value
     finally:
         engine.close()
         obs.set_registry(previous)

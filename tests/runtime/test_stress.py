@@ -12,11 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro import bench, obs
-from repro.runtime import StageError, StreamEngine
+from repro.runtime import StageError, StreamEngine, store_digest
 from repro.runtime.soak import _make_batch
 
 REPORTS = 320
 BATCH = 32
+APPENDS = 5
 SEED = 5
 
 
@@ -39,9 +40,11 @@ def _submit_all(engine, work, primitive="key_write"):
 # ----------------------------------------------------------------------
 
 
-def test_stage_raising_mid_batch_surfaces_with_batch_id():
-    """A translate-stage explosion on the third batch surfaces as a
-    StageError carrying the stage name and failing batch seq."""
+@pytest.mark.parametrize("failing", (0, 1, 2, 4))
+def test_stage_raising_mid_batch_surfaces_with_batch_id(failing):
+    """A translate-stage explosion on batch ``failing`` (the first, a
+    middle one, or one after earlier batches executed) surfaces as a
+    StageError carrying the stage name and that batch seq."""
     work = bench._workload("key_write", REPORTS, SEED)
     _registry, previous, engine = _fresh_engine(vectorized=False)
     translator = engine.translator
@@ -50,7 +53,7 @@ def test_stage_raising_mid_batch_surfaces_with_batch_id():
 
     def exploding(batch, **kw):
         calls["n"] += 1
-        if calls["n"] == 3:
+        if calls["n"] == failing + 1:
             raise RuntimeError("synthetic mid-batch failure")
         return real(batch, **kw)
 
@@ -62,10 +65,11 @@ def test_stage_raising_mid_batch_surfaces_with_batch_id():
             engine.drain()
         error = excinfo.value
         assert error.stage == "translate"
-        assert error.batch_seq == 2
-        assert "batch 2" in str(error)
+        assert error.batch_seq == failing
+        assert f"batch {failing}" in str(error)
         assert isinstance(error.__cause__, RuntimeError)
         assert engine.error is error
+        assert engine.executed_seq == (failing - 1 if failing else None)
         # A drained-on-error pipeline reports the same error again
         # rather than pretending the stream completed.
         with pytest.raises(StageError) as again:
@@ -101,15 +105,25 @@ def test_submit_after_error_raises_immediately():
 # ----------------------------------------------------------------------
 
 
-def test_double_drain_and_double_close_are_idempotent():
+@pytest.mark.parametrize("append_batches", (0, 2))
+def test_double_drain_and_double_close_are_idempotent(append_batches):
+    """The second drain is a no-op even when the first one flushed
+    buffered Appends (``append_batches`` Append batches submitted after
+    the Key-Writes): the store is not written again."""
     work = bench._workload("key_write", REPORTS, SEED)
+    appends = bench._workload("append", APPENDS * append_batches, SEED)
     _registry, previous, engine = _fresh_engine(vectorized=False)
     saved_transmit = engine.reporter.transmit
     try:
         engine.start()
         _submit_all(engine, work)
+        for b in range(append_batches):
+            engine.submit(_make_batch("append", appends, b * APPENDS,
+                                      (b + 1) * APPENDS))
         engine.drain()
+        drained = store_digest(engine.collector)
         engine.drain()          # second drain: no-op, no error
+        assert store_digest(engine.collector) == drained
         with pytest.raises(RuntimeError):
             engine.submit(_make_batch("key_write", work, 0, BATCH))
     finally:
@@ -119,6 +133,8 @@ def test_double_drain_and_double_close_are_idempotent():
     # close() restored the original wiring
     assert engine.reporter.transmit is saved_transmit
     assert engine.translator.client is not None
+    for list_id in set(appends["list_ids"]):
+        assert engine.translator.append_head(list_id)
 
 
 def test_context_manager_restores_wiring_on_error():
