@@ -310,8 +310,8 @@ class Collector(Node):
         reader can keep querying a stable view while reports continue
         to land in the live regions.  When the collector is being fed
         by a :class:`~repro.runtime.engine.StreamEngine`, prefer
-        ``engine.snapshot()``, which additionally synchronizes with the
-        execute stage so the copy lands on a batch boundary.
+        ``engine.snapshot()``, which additionally takes the engine's
+        ``store_lock`` so the copy lands on a batch boundary.
         """
         from repro.queries.snapshot import snapshot_of
 

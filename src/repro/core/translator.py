@@ -31,6 +31,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import calibration, obs
 from repro.core import packets
 from repro.core.flow_control import LossDetector
@@ -52,7 +54,7 @@ from repro.core.stores.postcarding import BLANK, PostcardingLayout
 from repro.core.stores.sketchstore import SketchLayout
 from repro.core.transport import CtrlFrame, DtaFrame, RdmaClient, RoceFrame
 from repro.fabric.topology import Node
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
+from repro.kernels import MIN_VECTOR_BATCH
 from repro.rdma.cm import ServiceAdvert
 from repro.rdma.verbs import Opcode, WorkRequest
 from repro.switch.meters import Meter, MeterConfig
@@ -146,8 +148,6 @@ class _SketchBinding:
         """
         width, depth = self.layout.width, self.layout.depth
         if self.vectorized:
-            import numpy as np
-
             self.columns = np.zeros((width, depth), dtype=np.int64)
             self.merged_count = np.zeros(width, dtype=np.int64)
             self.completed = np.zeros(width, dtype=bool)
@@ -178,7 +178,7 @@ class Translator(Node):
         #: case — tiny batches, fault-prone targets, per-report-lane
         #: triggers — falls back to the scalar reference path, which the
         #: kernels are differentially tested bit-exact against.
-        self.vectorized = bool(vectorized) and HAVE_NUMPY
+        self.vectorized = bool(vectorized)
         self.client: RdmaClient | None = None
         self.stats = TranslatorStats(labels={"node": name})
         self.loss = LossDetector(max_reporters, labels={"node": name})
@@ -489,7 +489,13 @@ class Translator(Node):
         count = kburst.write_rows(target, self.client, row_indices, rows)
         if count is None:
             return False
-        self.account_vector_keywrite(len(batch.keys), count)
+        reports = len(batch.keys)
+        slot_bytes = layout.slot_bytes
+        self.stats.reports_in += reports
+        self.stats.keywrites += reports
+        self.stats.rdma_writes += count
+        self.stats.rdma_payload_bytes += count * slot_bytes
+        self._payload_hist.observe_repeated(slot_bytes, count)
         return True
 
     def plan_vector_keywrite(self, batch, target):
@@ -497,14 +503,10 @@ class Translator(Node):
 
         The plan half of the vector lane — hashing, entry encoding, and
         bounds validation against ``target``'s region, with no state
-        touched.  Applying the plan (``kernels.burst.write_rows``) and
-        charging the translator counters
-        (:meth:`account_vector_keywrite`) are separate so the streaming
-        runtime can run plan and apply in different pipeline stages.
-        Returns None when the batch is not vector-eligible.
+        touched; :meth:`_vector_keywrite` applies it with
+        ``kernels.burst.write_rows`` and charges the counters.  Returns
+        None when the batch is not vector-eligible.
         """
-        import numpy as np
-
         from repro.kernels import crc as kcrc
 
         layout = self._kw.layout
@@ -529,15 +531,6 @@ class Translator(Node):
                                  or int(row_indices.max()) >= slots):
             return None      # same bounds check write_rows would fail
         return row_indices, rows
-
-    def account_vector_keywrite(self, reports: int, count: int) -> None:
-        """Translator-side counters for an applied Key-Write plan."""
-        slot_bytes = self._kw.layout.slot_bytes
-        self.stats.reports_in += reports
-        self.stats.keywrites += reports
-        self.stats.rdma_writes += count
-        self.stats.rdma_payload_bytes += count * slot_bytes
-        self._payload_hist.observe_repeated(slot_bytes, count)
 
     def _batch_keyincrement(self, batch) -> None:
         """Key-Increment fast lane: one burst of Fetch-and-Adds."""
@@ -579,7 +572,12 @@ class Translator(Node):
                                       counter_indices, addends)
         if count is None:
             return False
-        self.account_vector_keyincrement(len(batch.keys), count)
+        reports = len(batch.keys)
+        self.stats.reports_in += reports
+        self.stats.keyincrements += reports
+        self.stats.rdma_atomics += count
+        self.stats.rdma_payload_bytes += count * 8
+        self._payload_hist.observe_repeated(8, count)
         return True
 
     def plan_vector_keyincrement(self, batch, target):
@@ -591,8 +589,6 @@ class Translator(Node):
         against ``target``'s region, no state touched.  Returns None
         when the batch is not vector-eligible.
         """
-        import numpy as np
-
         from repro.kernels import crc as kcrc
 
         layout = self._ki.layout
@@ -613,14 +609,6 @@ class Translator(Node):
                                      or int(counter_indices.max()) >= slots):
             return None      # same bounds check fetch_add_many applies
         return counter_indices, addends
-
-    def account_vector_keyincrement(self, reports: int, count: int) -> None:
-        """Translator-side counters for an applied Key-Increment plan."""
-        self.stats.reports_in += reports
-        self.stats.keyincrements += reports
-        self.stats.rdma_atomics += count
-        self.stats.rdma_payload_bytes += count * 8
-        self._payload_hist.observe_repeated(8, count)
 
     def _batch_postcard(self, batch) -> None:
         """Postcarding fast lane: cache inserts, then one write burst.
@@ -743,8 +731,6 @@ class Translator(Node):
         list storage, counters beyond int64) returns False for the
         scalar lane.
         """
-        import numpy as np
-
         sm = self._sm
         if isinstance(sm.columns, list):
             return False

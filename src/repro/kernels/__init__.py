@@ -18,24 +18,15 @@ else.  The layout mirrors the hot path it accelerates:
   seeded workload by :class:`~repro.core.cluster.ClusterMap` across a
   process pool and merge per-shard results deterministically.
 
-numpy is a declared dependency, but the kernels stay importable without
-it (``HAVE_NUMPY`` gates every entry point) so stripped-down
-environments degrade to the scalar reference paths instead of failing
-at import time.
+numpy is a hard dependency (``pyproject.toml``); the scalar paths are
+the reference, not a fallback for a missing numpy.
 """
 
 from __future__ import annotations
-
-try:  # pragma: no cover - exercised implicitly by every kernel test
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
 
 #: Below this batch size the scalar reference path is used even when
 #: vectorization is enabled: per-call numpy overhead (array creation,
 #: dtype promotion) exceeds the per-report savings for tiny batches.
 MIN_VECTOR_BATCH = 4
 
-__all__ = ["HAVE_NUMPY", "MIN_VECTOR_BATCH"]
+__all__ = ["MIN_VECTOR_BATCH"]

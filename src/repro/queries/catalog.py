@@ -85,8 +85,8 @@ def stream_mixed(works: dict, *, vectorized: bool = True,
                  batch_size: int = 32, on_epoch=None, epochs: int = 1):
     """Drive the mixed workload through one streaming deployment.
 
-    ``vectorized`` picks the engine's lane: the numpy plan/apply split
-    (the default) or the scalar reference it must match.
+    ``vectorized`` picks the engine's lane: the translator's numpy
+    vector lanes (the default) or the scalar reference they must match.
 
     Returns ``(registry, collector, engine, zero_loss)`` with the
     engine drained and closed and the previous obs registry restored —

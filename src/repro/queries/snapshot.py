@@ -1,15 +1,15 @@
 """Epoch-consistent snapshots of collector store memory.
 
 The DTA data plane writes collector memory continuously — under the
-streaming runtime, from a dedicated execute-stage thread.  A reader
-that walks slot memory while a burst is landing could see half of a
-batch's writes, which is exactly the torn read Confluo's atomic
+streaming runtime, from the submitting thread as each batch
+translates.  A reader thread that walks slot memory while a batch is
+landing could see half of its writes, which is exactly the torn read Confluo's atomic
 multilog exists to prevent.  This module gives the reproduction the
 same guarantee with one mechanism: :func:`snapshot_of` captures a
 frozen copy of every served store region, and the streaming engine
 exposes it only at *batch boundaries* (see
 :meth:`repro.runtime.engine.StreamEngine.snapshot`), so a snapshot is
-always the state after some prefix of fully applied bursts.
+always the state after some prefix of fully applied batches.
 
 The copy is cheap — one ``bytearray`` memcpy per served region, no
 re-hashing, no decode — and the snapshot reuses the live store

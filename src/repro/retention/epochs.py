@@ -49,8 +49,8 @@ Append (``_SegmentTracker``)
     Each rotation seals a ``(epoch, start_head, end_head)`` segment
     per ring list; the published head is recovered from the lap tags
     in the region itself (what has *landed*, not what the translator
-    has emitted — rotation must never seal bytes a deferred burst has
-    yet to apply).  Expiry scrubs an expired segment's entries unless
+    has emitted — a write dropped by a stalled NIC has not landed, and
+    rotation must never seal bytes that are not in the region).  Expiry scrubs an expired segment's entries unless
     a later lap already overwrote them.
 
 Postcard-cache aging lives in :class:`~repro.retention.manager.
@@ -66,11 +66,9 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.stores.append import lap_tag
-from repro.kernels import HAVE_NUMPY
+import numpy as np
 
-if HAVE_NUMPY:
-    import numpy as np
+from repro.core.stores.append import lap_tag
 
 #: Rotation reports kept for introspection (`repro retain`, tests).
 MAX_REPORTS = 256
@@ -137,16 +135,10 @@ class _SlotTracker:
         return len(changed)
 
     def _changed_cells(self, cur: bytes) -> list:
-        if HAVE_NUMPY:
-            shape = (self.cells, self.cell_bytes)
-            a = np.frombuffer(cur, dtype=np.uint8).reshape(shape)
-            b = np.frombuffer(self._prev, dtype=np.uint8).reshape(shape)
-            return np.nonzero((a != b).any(axis=1))[0].tolist()
-        width = self.cell_bytes
-        prev = self._prev
-        return [i for i in range(self.cells)
-                if cur[i * width:(i + 1) * width]
-                != prev[i * width:(i + 1) * width]]
+        shape = (self.cells, self.cell_bytes)
+        a = np.frombuffer(cur, dtype=np.uint8).reshape(shape)
+        b = np.frombuffer(self._prev, dtype=np.uint8).reshape(shape)
+        return np.nonzero((a != b).any(axis=1))[0].tolist()
 
     def expire(self, cutoff: int) -> int:
         """Zero every cell whose generation fell out of the window."""
@@ -289,8 +281,8 @@ class _SegmentTracker:
         """Advance past entries whose lap tag matches their position.
 
         Reads the *region* (what has landed), never the translator's
-        emission heads — under the staged engine those run ahead of
-        the execute stage and would seal bytes that have not applied.
+        emission heads — a write the translator emitted may not have
+        landed (a stalled NIC drops it until go-back-N resends it).
         Bounded to one full lap per rotation; a writer outrunning the
         rotation cadence by more than ``capacity`` entries per list
         had those entries overwritten in-ring anyway.

@@ -4,10 +4,10 @@
 :class:`~repro.retention.epochs.EpochManager` with the pieces that
 need more than collector memory:
 
-* **Engine-driven rotation** — :meth:`on_batch` is called by the
-  :class:`~repro.runtime.engine.StreamEngine` execute stage *before*
-  applying the first burst of each ``rotate_every``-th batch, while it
-  already holds ``store_lock``.  Every earlier batch has fully
+* **Engine-driven rotation** — :meth:`on_batch` is called by
+  :meth:`~repro.runtime.engine.StreamEngine.submit` for every batch,
+  under ``store_lock``, *before* the batch translates; it rotates on
+  each ``rotate_every``-th seq.  Every earlier batch has fully
   applied and nothing of the triggering batch has, so rotation lands
   exactly on a batch boundary — the PR 6 snapshot rule — and a
   concurrent :meth:`~repro.runtime.engine.StreamEngine.snapshot`
@@ -16,9 +16,9 @@ need more than collector memory:
   consecutive rotations is flushed as an early emission through the
   translator's chunk-write path.  This touches translator state, so
   it only runs from *quiesced* rotations (explicit :meth:`rotate`
-  calls); the engine hook always skips it, keeping the stream's
-  single-writer-per-stage contract and the cross-worker digest
-  identity intact.
+  calls); the engine hook always skips it, so mid-stream rotation
+  touches collector memory only and the vectorized and scalar lanes
+  keep identical digests.
 * **Tenant quotas** — attaching a
   :class:`~repro.retention.tenants.TenantTable` wires it into the
   translator's admission path (``translator.tenants``).
@@ -28,7 +28,7 @@ need more than collector memory:
 All counters here are input-deterministic (rotation points are batch
 sequence numbers, never wall clock), so ``retention.*`` / ``tenant.*``
 series stay *inside* :func:`~repro.runtime.engine.pipeline_digest` —
-the differential suite checks rotation itself for worker-count
+the retention suite checks rotation itself for lane and reader-thread
 independence.
 """
 
@@ -104,8 +104,7 @@ class RetentionManager:
 
         Called under ``store_lock`` with every batch below ``seq``
         fully applied.  Rotates at most once per ``rotate_every``
-        boundary even though several bursts can carry the same batch
-        sequence.  Never ages the postcard cache (see module docs).
+        boundary.  Never ages the postcard cache (see module docs).
         """
         if self._next_rotate_seq is None or seq < self._next_rotate_seq:
             return None

@@ -1,6 +1,6 @@
 """The ``repro retain`` smoke lane: bounded memory, demonstrated.
 
-Drives a seeded multi-epoch stream through the staged engine with
+Drives a seeded multi-epoch stream through the streaming engine with
 rotation enabled and records, per rotation, how many cells each epoch
 sealed and how many stayed live — the bounded-memory gate then checks
 that steady-state live state never exceeds two epochs' worth (the

@@ -1,8 +1,10 @@
 """The streaming runtime (reporter -> link -> translator -> NIC).
 
-``repro.runtime`` runs a direct-mode deployment as the paper's four
-dataflow stages, inline in :meth:`StreamEngine.submit`, with reader
-threads snapshotting the live stores under ``store_lock``.  See
+``repro.runtime`` runs a direct-mode deployment as the paper's
+dataflow, inline in :meth:`StreamEngine.submit` — the translator posts
+each batch's verbs straight into collector memory under
+``store_lock`` — with reader threads snapshotting the live stores
+under the same lock.  See
 ``docs/CONCURRENCY.md`` for the determinism-and-concurrency contract,
 ``docs/ARCHITECTURE.md`` ("Streaming runtime") for the stage diagram,
 and ``docs/BENCHMARKS.md`` for the soak lane recorded by ``repro run``.

@@ -1,16 +1,19 @@
 """The streaming execution engine.
 
 DTA's pipeline — reporters encode, the wire carries, the translator
-converts, the collector NIC executes — is a dataflow of four stages
-(Section 4, Fig. 6).  :class:`StreamEngine` runs a direct-mode
-deployment as that dataflow over
+converts reports into RDMA verbs that land in collector memory — is a
+dataflow of three stages (Section 4, Fig. 6).  :class:`StreamEngine`
+runs a direct-mode deployment as that dataflow over
 :class:`~repro.core.batch.ReportBatch` carriers, one batch at a time,
 inline in :meth:`StreamEngine.submit`::
 
-    submit(batch) -> encode -> link -> translate -> execute
+    submit(batch) -> encode -> link -> [store_lock: translate + apply]
 
-The switch ASIC pipelines these stages in hardware.  In Python the
-inline vectorized lane is the fastest layout measured (see
+The translate stage posts straight to the deployment's RDMA client, so
+a batch's verbs apply to collector memory inside the same call that
+translates them — no verb queue sits between the two.  The
+switch ASIC pipelines these stages in hardware.  In Python the inline
+vectorized lane is the fastest layout measured (see
 ``docs/CONCURRENCY.md``), so the engine has exactly one execution
 path; reader threads are the only concurrency.
 
@@ -20,32 +23,19 @@ Determinism contract
 contract; the short form: the computation — collector store bytes and
 every obs series outside the :func:`pipeline_digest` exclusion list —
 is identical with vectorization on or off, and, on every shared
-series, identical to the plain serial ``send_batch`` loop.  Each
-stats object has exactly one writer stage (reporter stats in encode,
-:class:`~repro.fabric.link.StreamLink` stats in link, translator stats
-+ loss detector in translate, NIC/QP/client bookkeeping in execute),
-and the wall-clock-dependent series — ``runtime.*`` plus the serving
-tier's ``queries.wall_ns`` histogram — are excluded by
+series, identical to the plain serial ``send_batch`` loop.  The
+submitting thread is the only writer of every stats object (reporter
+stats in encode, :class:`~repro.fabric.link.StreamLink` stats in link,
+translator stats, loss detector and NIC/QP/client bookkeeping in
+translate), and the wall-clock-dependent series — ``runtime.*`` plus
+the serving tier's ``queries.wall_ns`` histogram — are excluded by
 :func:`pipeline_digest`.
 
-The contract extends to readers: the execute stage is the *only* store
-writer, and it applies each burst under :attr:`StreamEngine.store_lock`.
-:meth:`StreamEngine.snapshot` takes the same lock, so every snapshot
-lands exactly on a batch boundary — a reader thread can never observe
-a partially applied burst of a live stream.
-
-Vector plan/apply split
------------------------
-Eligible Key-Write / Key-Increment batches are planned by the
-translator (:meth:`~repro.core.translator.Translator.plan_vector_keywrite`
-/ ``plan_vector_keyincrement``) in the translate stage and applied by
-:func:`repro.kernels.burst.write_rows` / ``fetch_add_many`` in the
-execute stage.  The execute stage re-resolves the burst target before
-applying; if the target has gone bad (NIC stall, QP error, revoked MR)
-it rebuilds the equivalent scalar burst and posts it through the real
-:class:`~repro.core.transport.RdmaClient`, which is exactly the PR 3
-fault machinery (bounded retry, QP re-handshake) — a fault plan firing
-mid-stream triggers recovery, never a hang.
+The contract extends to readers: each batch translates and applies
+under :attr:`StreamEngine.store_lock`, and :meth:`StreamEngine.snapshot`
+takes the same lock, so every snapshot lands exactly on a batch
+boundary — a reader thread can never observe a partially applied batch
+of a live stream.
 """
 
 from __future__ import annotations
@@ -55,11 +45,9 @@ import threading
 from typing import NoReturn
 
 from repro import obs
-from repro.core.packets import DtaPrimitive
 from repro.fabric.link import StreamLink
-from repro.kernels import MIN_VECTOR_BATCH
 
-STAGES = ("encode", "link", "translate", "execute")
+STAGES = ("encode", "link", "translate")
 
 #: Sequence number used for end-of-stream finalizer work (epoch
 #: flushes), which belongs to no submitted batch.
@@ -88,52 +76,34 @@ class StageStats(obs.InstrumentedStats):
     reports = obs.counter_field()
 
 
-class _DeferringClient:
-    """Stands in for the RDMA client inside the translate stage.
-
-    Records verbs in emission order; the execute stage replays them
-    against the real client, so accounting and fault behaviour stay the
-    reference implementation's — just one stage later.
-    """
-
-    __slots__ = ("ops",)
-
-    def __init__(self) -> None:
-        self.ops: list = []
-
-    def post(self, wr) -> None:
-        self.ops.append(("post", wr))
-
-    def post_burst(self, wrs) -> None:
-        if wrs:
-            self.ops.append(("burst", list(wrs)))
-
-    def take(self) -> list:
-        ops, self.ops = self.ops, []
-        return ops
-
-
 class StreamEngine:
     """Run a direct-mode deployment as the inline staged pipeline.
+
+    :meth:`submit` is one straight line: encode, link, then — under
+    :attr:`store_lock` — the retention hook, the translator posting
+    the batch's verbs to the deployment's real RDMA client, and the
+    ``executed_seq`` update.  Vectorized Key-Write / Key-Increment
+    batches take the translator's own vector lanes, which fall back to
+    the scalar lane (and so to the reference fault machinery: bounded
+    retry, QP re-handshake) whenever the burst target is unhealthy.
 
     Args:
         collector: The deployment's collector (store digests, wiring).
         translator: Its translator; the engine temporarily rewires
-            ``client``/``control_sink``/``vectorized`` while streaming
-            and restores them in :meth:`close`.
+            ``control_sink``/``vectorized`` while streaming and
+            restores them in :meth:`close`.
         reporter: The reporter whose emissions feed the stream; its
             ``transmit``/``transmit_batch`` hooks are captured.
         workers: Must be 0: every stage runs inline in :meth:`submit`.
             Accepted because existing callers (``dtabench``) pass
             ``workers=0``; any other value raises :class:`ValueError`.
-        vectorized: Plan/apply the Key-Write / Key-Increment numpy
-            split lanes (defaults to the translator's own
-            ``vectorized`` flag).  Scalar lanes are unaffected.
+        vectorized: Run the translator's numpy vector lanes (defaults
+            to the translator's own ``vectorized`` flag, which the
+            engine sets while streaming).
         retention: Optional
             :class:`~repro.retention.manager.RetentionManager`; its
-            ``on_batch`` hook runs in the execute stage under
-            :attr:`store_lock` *before* the first burst of each
-            ``rotate_every``-th batch applies, so epoch rotation lands
+            ``on_batch`` hook runs under :attr:`store_lock` *before*
+            every submitted batch translates, so epoch rotation lands
             exactly on a batch boundary and snapshots never see a
             half-rotated store.
         name: Label for the engine's link and metric series.
@@ -157,10 +127,6 @@ class StreamEngine:
         self.name = name
         self.link = StreamLink(name=name)
         self._vectorized = bool(vectorized)
-        self._defer = _DeferringClient()
-        self._real_client = None
-        self._kw_plan = None
-        self._ki_plan = None
         self._captured_batches: list = []
         self._captured_raws: list = []
         #: ``(src, raw)`` control frames (NACK/congestion) the translate
@@ -170,8 +136,8 @@ class StreamEngine:
         self._stage_stats = {
             stage: StageStats(labels={"stage": stage, "engine": name})
             for stage in STAGES}
-        #: Serializes store mutation (execute stage) against snapshot
-        #: acquisition; see "Determinism contract" above.
+        #: Serializes store mutation (translate + apply of one batch)
+        #: against snapshot acquisition; see "Determinism contract".
         self.store_lock = threading.Lock()
         self._executed_seq: int | None = None
         self._seq = 0
@@ -196,19 +162,12 @@ class StreamEngine:
         self._saved = {
             "transmit": reporter.transmit,
             "transmit_batch": reporter.transmit_batch,
-            "client": translator.client,
             "control_sink": translator.control_sink,
             "vectorized": translator.vectorized,
         }
-        self._real_client = translator.client
-        self._resolve_vector_targets()
         reporter.transmit = self._captured_raws.append
         reporter.transmit_batch = self._captured_batches.append
-        translator.client = self._defer
-        # The engine owns vectorization: the translator's own lanes run
-        # scalar (their output is deferred verbatim), while eligible
-        # batches take the engine's plan/apply split below.
-        translator.vectorized = False
+        translator.vectorized = self._vectorized
         translator.control_sink = self._sink_control
         self._started = True
         return self
@@ -235,10 +194,15 @@ class StreamEngine:
             carriers = [carrier for carrier in carriers
                         if self._link(carrier)]
             stage = "translate"
-            bursts = [ops for ops in map(self._translate, carriers) if ops]
-            stage = "execute"
-            for ops in bursts:
-                self._execute(seq, ops)
+            with self.store_lock:
+                # Rotation fires *before* batch seq translates: every
+                # batch below seq is fully in the store and nothing of
+                # seq is, so the epoch boundary is a batch boundary.
+                if self.retention is not None:
+                    self.retention.on_batch(seq)
+                for carrier in carriers:
+                    self._translate(carrier)
+                self._executed_seq = seq
         except BaseException as exc:
             self._fail(stage, seq, exc)
         return seq
@@ -246,9 +210,9 @@ class StreamEngine:
     def drain(self) -> None:
         """End the stream: flush, then deliver pending control frames.
 
-        Runs the translator's end-of-epoch Append flush through the
-        execute stage, then hands any pending control frames to the
-        deployment's original ``control_sink``.  Raises the pending
+        Runs the translator's end-of-epoch Append flush under
+        :attr:`store_lock`, then hands any pending control frames to
+        the deployment's original ``control_sink``.  Raises the pending
         :class:`StageError` — before any flush touches the store — if
         a batch failed.  Idempotent.
         """
@@ -258,15 +222,11 @@ class StreamEngine:
             raise self._error
         if not self._drained:
             self._drained = True
-            stage = "translate"
             try:
-                self.translator.flush_appends()
-                ops = self._defer.take()
-                if ops:
-                    stage = "execute"
-                    self._execute(FLUSH_SEQ, ops)
+                with self.store_lock:
+                    self.translator.flush_appends()
             except BaseException as exc:
-                self._fail(stage, FLUSH_SEQ, exc)
+                self._fail("translate", FLUSH_SEQ, exc)
         self._deliver_controls()
 
     def close(self) -> None:
@@ -283,7 +243,6 @@ class StreamEngine:
         if self._saved is not None:
             self.reporter.transmit = self._saved["transmit"]
             self.reporter.transmit_batch = self._saved["transmit_batch"]
-            self.translator.client = self._saved["client"]
             self.translator.control_sink = self._saved["control_sink"]
             self.translator.vectorized = self._saved["vectorized"]
             self._saved = None
@@ -306,7 +265,7 @@ class StreamEngine:
         raise self._error from exc
 
     # ------------------------------------------------------------------
-    # Stages (each stats object has exactly one writer stage)
+    # Stages
     # ------------------------------------------------------------------
 
     def _encode(self, batch) -> list:
@@ -338,154 +297,17 @@ class StreamEngine:
         stats.reports += n
         return self.link.transmit(n, size)
 
-    def _translate(self, carrier) -> list:
-        """Report -> verb conversion; returns the deferred RDMA ops."""
+    def _translate(self, carrier) -> None:
+        """Report -> verb conversion, posted straight to the collector."""
         translator = self.translator
         if isinstance(carrier, list):
             for raw in carrier:
                 translator.handle_report(raw)
-            ops = self._defer.take()
         else:
-            ops = self._vector_translate(carrier)
-            if ops is None:
-                translator.process_batch(carrier)
-                ops = self._defer.take()
+            translator.process_batch(carrier)
         stats = self._stage_stats["translate"]
         stats.carriers += 1
         stats.reports += len(carrier)
-        return ops
-
-    def _execute(self, seq: int, ops: list) -> None:
-        """Replay the deferred verbs against the real RDMA client.
-
-        The whole burst applies under :attr:`store_lock`: this stage is
-        the only store writer, so holding the lock per burst makes
-        batch boundaries the only states a :meth:`snapshot` can see.
-        """
-        client = self._real_client
-        self._stage_stats["execute"].carriers += 1
-        with self.store_lock:
-            # Retention rotation fires *before* this burst applies:
-            # every batch below seq is fully in the store and nothing
-            # of seq is, so the epoch boundary coincides with a batch
-            # boundary (the PR 6 snapshot rule).
-            if self.retention is not None and seq != FLUSH_SEQ:
-                self.retention.on_batch(seq)
-            for op in ops:
-                kind = op[0]
-                if kind == "post":
-                    client.post(op[1])
-                elif kind == "burst":
-                    client.post_burst(op[1])
-                elif kind == "write_rows":
-                    self._apply_write_rows(client, op)
-                else:
-                    self._apply_fetch_add(client, op)
-            if seq != FLUSH_SEQ:
-                self._executed_seq = seq
-
-    # ------------------------------------------------------------------
-    # Vector plan/apply split
-    # ------------------------------------------------------------------
-
-    def _resolve_vector_targets(self) -> None:
-        """Validate the static halves of vector eligibility once.
-
-        Burst targets in direct mode are fixed at deployment time, so
-        the resolution runs once here instead of per batch inside the
-        translate stage; the execute stage still re-resolves before
-        *applying*, because the dynamic conditions (stall, QP state)
-        can change mid-stream.
-        """
-        self._kw_plan = None
-        self._ki_plan = None
-        if (not self._vectorized or self.translator._meter is not None
-                or getattr(self.translator, "tenants", None) is not None):
-            return
-        from repro.kernels import burst as kburst
-
-        client = self._real_client
-        kw = self.translator._kw
-        if kw is not None:
-            target = kburst.resolve_target(client, kw.rkey)
-            if (target is not None
-                    and kw.layout.base_addr == target.region.addr
-                    and kw.layout.region_bytes <= target.region.length):
-                self._kw_plan = (target, kw.rkey, kw.layout.base_addr,
-                                 kw.layout.slot_bytes)
-        ki = self.translator._ki
-        if ki is not None:
-            target = kburst.resolve_target(client, ki.rkey, atomic=True)
-            if (target is not None
-                    and ki.layout.base_addr == target.region.addr
-                    and ki.layout.region_bytes <= target.region.length):
-                self._ki_plan = (target, ki.rkey, ki.layout.base_addr)
-
-    def _vector_translate(self, batch):
-        """Plan an eligible batch as one array op; None -> scalar lane."""
-        if batch.essential or batch.immediate or self.translator.crashed:
-            return None
-        if len(batch) < MIN_VECTOR_BATCH:
-            return None
-        primitive = batch.primitive
-        if primitive is DtaPrimitive.KEY_WRITE and self._kw_plan is not None:
-            target, rkey, base, slot_bytes = self._kw_plan
-            plan = self.translator.plan_vector_keywrite(batch, target)
-            if plan is None:
-                return None
-            row_indices, rows = plan
-            self.translator.account_vector_keywrite(len(batch.keys),
-                                                    len(row_indices))
-            return [("write_rows", rkey, base, slot_bytes,
-                     row_indices, rows)]
-        if primitive is DtaPrimitive.KEY_INCREMENT \
-                and self._ki_plan is not None:
-            target, rkey, base = self._ki_plan
-            plan = self.translator.plan_vector_keyincrement(batch, target)
-            if plan is None:
-                return None
-            counter_indices, addends = plan
-            self.translator.account_vector_keyincrement(
-                len(batch.keys), len(counter_indices))
-            return [("fetch_add", rkey, base, counter_indices, addends)]
-        return None
-
-    def _apply_write_rows(self, client, op) -> None:
-        """Apply a Key-Write plan; scalar fallback if the target died."""
-        from repro.kernels import burst as kburst
-        from repro.rdma.verbs import Opcode, WorkRequest
-
-        _, rkey, base, slot_bytes, row_indices, rows = op
-        target = kburst.resolve_target(client, rkey)
-        if target is not None \
-                and kburst.write_rows(target, client, row_indices,
-                                      rows) is not None:
-            return
-        # Dynamic conditions changed since planning (NIC stall, QP
-        # error, revoked MR): rebuild the equivalent scalar burst so
-        # the reference fault machinery handles it.
-        client.post_burst([
-            WorkRequest(opcode=Opcode.WRITE,
-                        remote_addr=base + int(idx) * slot_bytes,
-                        rkey=rkey, data=rows[j].tobytes())
-            for j, idx in enumerate(row_indices)])
-
-    def _apply_fetch_add(self, client, op) -> None:
-        """Apply a Key-Increment plan; scalar fallback likewise."""
-        from repro.kernels import burst as kburst
-        from repro.rdma.verbs import Opcode, WorkRequest
-
-        _, rkey, base, counter_indices, addends = op
-        target = kburst.resolve_target(client, rkey, atomic=True)
-        if target is not None \
-                and kburst.fetch_add_many(target, client, counter_indices,
-                                          addends) is not None:
-            return
-        client.post_burst([
-            WorkRequest(opcode=Opcode.FETCH_ADD,
-                        remote_addr=base + int(idx) * 8,
-                        rkey=rkey, swap=int(addend))
-            for idx, addend in zip(counter_indices, addends)])
 
     # ------------------------------------------------------------------
     # Control frames
@@ -519,14 +341,14 @@ class StreamEngine:
 
     @property
     def executed_seq(self) -> int | None:
-        """Sequence of the last fully applied burst (None before any)."""
+        """Sequence of the last fully applied batch (None before any)."""
         return self._executed_seq
 
     def snapshot(self):
         """Freeze the collector's stores at a batch boundary.
 
         Takes :attr:`store_lock`, so the copy happens strictly between
-        burst applications: the returned
+        batch applications: the returned
         :class:`~repro.queries.snapshot.CollectorSnapshot` reflects
         every submitted batch up to ``snapshot.batch_seq`` and nothing
         of any later one.  Cheap (a memcpy per store region), so

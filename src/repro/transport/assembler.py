@@ -36,6 +36,8 @@ Two ingest paths share one pending-run state:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import packets
 from repro.core.batch import ReportBatch
 from repro.core.packets import (
@@ -48,13 +50,7 @@ from repro.core.packets import (
     Postcard,
     SketchColumn,
 )
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
-from repro.transport.envelope import unwrap_frame
-
-if HAVE_NUMPY:
-    import numpy as np
-
-    from repro.kernels import wire
+from repro.kernels import MIN_VECTOR_BATCH, wire
 
 #: Flags that force a report through the per-report lane: essential
 #: reports feed the loss detector, immediates must convert their write,
@@ -150,29 +146,20 @@ class ReportAssembler:
         """Consume one ``KIND_FRAME`` payload (many coalesced reports).
 
         Decodes the whole frame through the vectorized wire kernels
-        when numpy is available and the frame is big enough to pay for
-        the array setup; otherwise falls back to the scalar splitter
-        plus :meth:`feed` per sub-frame.  A structurally truncated
-        frame counts as one malformed unit either way.
+        when the frame is big enough to pay for the array setup;
+        otherwise feeds each sub-frame through :meth:`feed`.  A
+        structurally truncated frame counts as one malformed unit
+        either way.
         """
-        if HAVE_NUMPY:
-            parts = wire.split_frame(payload)
-            if parts is None:
-                self.malformed += 1
-                return
-            if len(parts[1]) >= MIN_VECTOR_BATCH:
-                self._feed_frame_vector(payload, *parts)
-                return
-            for off, length in zip(parts[1].tolist(), parts[2].tolist()):
-                self.feed(payload[off:off + length])
-            return
-        try:
-            raws = unwrap_frame(payload)
-        except ValueError:
+        parts = wire.split_frame(payload)
+        if parts is None:
             self.malformed += 1
             return
-        for raw in raws:
-            self.feed(raw)
+        if len(parts[1]) >= MIN_VECTOR_BATCH:
+            self._feed_frame_vector(payload, *parts)
+            return
+        for off, length in zip(parts[1].tolist(), parts[2].tolist()):
+            self.feed(payload[off:off + length])
 
     def feed_frames(self, payloads) -> None:
         """Consume many ``KIND_FRAME`` payloads in one vectorized pass.
@@ -186,10 +173,6 @@ class ReportAssembler:
         frames are spliced in delivered order and row indices stay
         ascending across the join.
         """
-        if not HAVE_NUMPY:
-            for payload in payloads:
-                self.feed_frame(payload)
-            return
         chunks = []
         offs = []
         lens = []
@@ -414,11 +397,10 @@ class ReportAssembler:
         self.translators[shard].process_batch(batch)
 
 
-if HAVE_NUMPY:
-    _DECODERS = {
-        int(DtaPrimitive.KEY_WRITE): wire.decode_keywrite,
-        int(DtaPrimitive.KEY_INCREMENT): wire.decode_keyincrement,
-        int(DtaPrimitive.POSTCARDING): wire.decode_postcard,
-        int(DtaPrimitive.APPEND): wire.decode_append,
-        int(DtaPrimitive.SKETCH_MERGE): wire.decode_sketch,
-    }
+_DECODERS = {
+    int(DtaPrimitive.KEY_WRITE): wire.decode_keywrite,
+    int(DtaPrimitive.KEY_INCREMENT): wire.decode_keyincrement,
+    int(DtaPrimitive.POSTCARDING): wire.decode_postcard,
+    int(DtaPrimitive.APPEND): wire.decode_append,
+    int(DtaPrimitive.SKETCH_MERGE): wire.decode_sketch,
+}

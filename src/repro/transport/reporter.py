@@ -37,9 +37,10 @@ from __future__ import annotations
 import socket
 import time
 
+import numpy as np
+
 from repro.core import packets
 from repro.core.cluster import ClusterMap, ClusterReporter
-from repro.kernels import HAVE_NUMPY
 from repro.core.packets import DtaFlags
 from repro.core.transport import CtrlFrame
 from repro.transport import mmsg
@@ -56,9 +57,6 @@ from repro.transport.envelope import (
     wrap_frame,
 )
 from repro.transport.loss import LossSpec
-
-if HAVE_NUMPY:
-    import numpy as np
 
 #: Finalized envelopes buffered per lane before a send burst; matches
 #: the receiver's recvmmsg ring (4 sendmmsg batches) so one flush can
@@ -243,10 +241,6 @@ class SocketReporter:
         pending and leaving the final partial frame pending.
         """
         if not reports:
-            return
-        if not HAVE_NUMPY:
-            for raw in reports:
-                self._enqueue_lane(lane, raw)
             return
         budget = self._frame_budget
         n = len(reports)

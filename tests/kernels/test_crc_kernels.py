@@ -9,11 +9,9 @@ memory at the addresses these hashes pick.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-pytest.importorskip("numpy")
-import numpy as np
 
 from repro.kernels import crc as kcrc
 from repro.switch import crc as scrc

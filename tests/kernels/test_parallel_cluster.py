@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.core.cluster import ClusterMap
 from repro.kernels.parallel import (ClusterSpec, run_cluster, run_shard,
                                     seeded_workload)

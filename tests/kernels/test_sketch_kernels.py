@@ -11,8 +11,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("numpy")
-
 from repro.sketches import CountMinSketch, CountSketch, HyperLogLog
 
 BATCH_SIZES = (1, 7, 64, 1000)

@@ -12,10 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-import pytest
-
-pytest.importorskip("numpy")
-
 from repro import obs
 from repro.core.batch import ReportBatch
 from repro.core.collector import Collector

@@ -63,6 +63,45 @@ def test_engine_hook_rotates_on_batch_cadence():
         assert report.changed["keywrite"] > 0
 
 
+def _drive_with_silent_batches(vectorized: bool):
+    """16 batches at ``rotate_every=4`` where batches 4-11 are
+    two-entry Appends that never fill an Append batch (size 64), so
+    they translate to no verbs at all."""
+    col = Collector()
+    col.serve_keywrite(slots=4096, data_bytes=8)
+    col.serve_append(lists=4, capacity=256, data_bytes=8, batch_size=64)
+    tr = Translator()
+    col.connect_translator(tr)
+    rep = Reporter("mgr", 1, transmit=tr.handle_report)
+    manager = RetentionManager(
+        col, policy=RetentionPolicy(window=2, rotate_every=4),
+        translator=tr)
+    engine = StreamEngine(col, tr, rep, vectorized=vectorized,
+                          retention=manager)
+    with engine:
+        for seq in range(16):
+            if 4 <= seq < 12:
+                engine.submit(ReportBatch.appends(
+                    [seq % 4, (seq + 1) % 4], [struct.pack("<Q", seq)] * 2))
+                continue
+            keys = [f"b{seq}k{i}".encode() for i in range(8)]
+            datas = [struct.pack("<Q", (seq << 16) | i) for i in range(8)]
+            engine.submit(ReportBatch.key_writes(keys, datas, redundancy=2))
+        engine.drain()
+    return col, manager
+
+
+def test_rotation_fires_on_batches_that_emit_no_verbs():
+    """Rotation points are a pure function of batch seqs: the cadence
+    boundaries 4 and 8 fall on Append batches that emit no verbs, and
+    the engine still rotates there (and at 12) on both lanes."""
+    col0, manager0 = _drive_with_silent_batches(vectorized=False)
+    col1, manager1 = _drive_with_silent_batches(vectorized=True)
+    assert manager0.stats.rotations == 3
+    assert manager1.stats.rotations == 3
+    assert store_digest(col1) == store_digest(col0)
+
+
 def _snapshot_readers(engine, count: int):
     """Start ``count`` threads that snapshot ``engine`` in a loop (at
     least once each); returns ``stop()``, which joins them and yields

@@ -6,7 +6,8 @@ nothing else: collector store bytes and every non-``runtime.*`` obs
 series must match the scalar reference exactly.  These tests hold the
 inline engine — vectorized and scalar, on every primitive — to the
 plain ``send_batch`` loop the rest of the suite trusts, and check that
-the Key-Write / Key-Increment plan/apply split actually engages.
+the translator's Key-Write / Key-Increment vector lanes actually
+engage.
 """
 
 from __future__ import annotations
@@ -87,10 +88,10 @@ def test_vectorized_engine_equals_plain_serial_loop(primitive):
 @pytest.mark.parametrize("primitive", ("key_write", "key_increment"))
 def test_vectorized_plan_apply_split_matches_scalar(primitive,
                                                      monkeypatch):
-    """The engine's plan/apply split (translate plans the arrays,
-    execute scatters them) engages on every batch and digests
-    identically to the scalar reference — the PR 4 vectorization
-    guarantee, preserved across the stage boundary."""
+    """The translator's vector lane (plan the arrays, then scatter
+    them straight into collector memory) engages on every batch the
+    engine submits and digests identically to the scalar reference —
+    the PR 4 vectorization guarantee, kept under the engine."""
     kernel = ("write_rows" if primitive == "key_write"
               else "fetch_add_many")
     calls = []

@@ -18,7 +18,9 @@ import pytest
 from repro import bench, obs
 from repro.core.batch import ReportBatch
 from repro.faults import recover_stream
-from repro.runtime import StageError, StreamEngine, store_digest
+from repro.kernels import burst as kburst
+from repro.runtime import (StageError, StreamEngine, pipeline_digest,
+                           store_digest)
 from repro.runtime.soak import _make_batch
 
 BATCH = 16
@@ -87,6 +89,54 @@ def test_link_blackout_drops_whole_carriers_deterministically():
     assert link.sent == n
     assert link.delivered == n - blacked_out
     assert translator.stats.reports_in == n - blacked_out
+
+
+def _stalled_run(primitive, *, vectorized):
+    """480 reports at batch 16 with the collector NIC stalled for the
+    middle third of the batches; returns (store, pipeline) digests."""
+    work = bench._workload(primitive, 480, SEED)
+    registry, previous, collector, translator, reporter = _deployment()
+    engine = StreamEngine(collector, translator, reporter,
+                          vectorized=vectorized)
+    n = len(work["keys"])
+    try:
+        engine.start()
+        for s in range(0, n, BATCH):
+            if s == n // 3:
+                collector.nic.stall()
+            if s == 2 * n // 3:
+                collector.nic.resume()
+            engine.submit(_make_batch(primitive, work, s, s + BATCH))
+        engine.drain()
+        snapshot = registry.snapshot()
+    finally:
+        engine.close()
+        obs.set_registry(previous)
+    return store_digest(collector), pipeline_digest(snapshot)
+
+
+@pytest.mark.parametrize("primitive", ("key_write", "key_increment"))
+def test_vectorized_lane_falls_back_to_scalar_under_nic_stall(primitive,
+                                                              monkeypatch):
+    """A NIC stall mid-stream makes the translator's vector lane
+    decline the burst target, so the stalled batches take the scalar
+    lane and its fault machinery: the kernel runs only on the 20
+    batches outside the stall window, and both digests equal the
+    scalar lane's under the same stall."""
+    kernel = ("write_rows" if primitive == "key_write"
+              else "fetch_add_many")
+    calls = []
+    real = getattr(kburst, kernel)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    scalar = _stalled_run(primitive, vectorized=False)
+    monkeypatch.setattr(kburst, kernel, counting)
+    vector = _stalled_run(primitive, vectorized=True)
+    assert len(calls) == 20
+    assert vector == scalar
 
 
 def _essential_run(*, crash_window=None):
